@@ -71,8 +71,7 @@ def entry() -> Any:
 
     pages = kg.read_pages(_kg_pages_paths("/root/testdata/sf0.001"))
     return kg.edges_dataset(
-        kg.linked_triples_dataset(kg.sentences_dataset(pages, detect_concurrency=(1, 4))),
-        settle=True,
+        kg.linked_triples_dataset(kg.sentences_dataset(pages, detect_concurrency=(1, 4)))
     )
 
 
@@ -238,7 +237,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def kg_born_edges(sf_dir: str):
         """The same chain continued through entity linking and the
-        partitioned hash-aggregate edge reduce (kg.edges_dataset) —
+        one-shuffle edge reduce (kg.edges_dataset) —
         gates canonicalization (per:/loc: namespaces) and edge weights
         in SQL."""
         import pyarrow as pa
@@ -249,7 +248,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         linked = _born_spine(sf_dir).map_batches(
             link_triples_batch, batch_format="pyarrow"
         )
-        edges = kg.edges_dataset(linked, settle=True)
+        edges = kg.edges_dataset(linked)
         return edges.map_batches(
             lambda t: pa.table(
                 {
@@ -279,7 +278,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         linked = _born_spine(sf_dir).map_batches(
             make_embedding_link_batch(), batch_format="pyarrow"
         )
-        edges = kg.edges_dataset(linked, settle=True)
+        edges = kg.edges_dataset(linked)
         return edges.map_batches(
             lambda t: pa.table(
                 {
@@ -307,7 +306,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from transner_ray.pipelines import kg
 
         linked = link_triples_via_join(_born_spine(sf_dir), num_partitions=4)
-        edges = kg.edges_dataset(linked, settle=True)
+        edges = kg.edges_dataset(linked)
         return edges.map_batches(
             lambda t: pa.table(
                 {
@@ -394,7 +393,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def kg_born_entities(sf_dir: str):
         """The canonicalization reduce (kg.entities_dataset: combiner
-        partials → partitioned hash-aggregate → canonical surface /
+        partials → sort on the entity key → canonical surface /
         type / aliases / support) made SQL-checkable over the born
         carrier: every surface is alias-free and single-variant, so
         canonical = the word, aliases = [word], and support = the
@@ -407,7 +406,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         linked = _born_spine(sf_dir).map_batches(
             link_triples_batch, batch_format="pyarrow"
         )
-        ents = kg.entities_dataset(linked, settle=True)
+        ents = kg.entities_dataset(linked)
         return ents.map_batches(
             lambda t: pa.table(
                 {
@@ -651,11 +650,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_mentions": lambda sf: kg.mentions_dataset(_kg_spine(sf)),
         "kg_triples": _kg_linked,
         "kg_sentences": _kg_sentences_only,
-        "kg_entities": lambda sf: kg.entities_dataset(_kg_linked(sf), settle=True),
-        "kg_edges": lambda sf: kg.edges_dataset(_kg_linked(sf), settle=True),
+        "kg_entities": lambda sf: kg.entities_dataset(_kg_linked(sf)),
+        "kg_edges": lambda sf: kg.edges_dataset(_kg_linked(sf)),
         # embedding-linker variant (alias + char-ngram embedding fallback)
         "kg_edges_emblink": lambda sf: kg.edges_dataset(
-            kg.linked_triples_dataset(_kg_spine(sf), link_mode="embedding"), settle=True
+            kg.linked_triples_dataset(_kg_spine(sf), link_mode="embedding")
         ),
         # graph analytics over the constructed KG (rows-only: iterative
         # float fit; exact-equality + float-reference pytest oracles;

@@ -92,18 +92,15 @@ def bench_kg() -> dict:
     t_narrow = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    # row count from parquet footers (no execution); read triples ONCE
-    # and pin them (small: combiner output scale) for both consumers
+    # row count from parquet footers (no execution); the wide phase
+    # reads the triples once and shuffles once for both outputs
     import glob
 
     import pyarrow.parquet as pq
 
-    n_triples = sum(
-        pq.read_metadata(f).num_rows for f in glob.glob(f"{KG_SCRATCH}/triples/*.parquet")
-    )
-    triples = rd.read_parquet(f"{KG_SCRATCH}/triples").materialize()
-    kg.entities_dataset(triples, settle=True).write_parquet(f"{KG_SCRATCH}/entities")
-    kg.edges_dataset(triples, settle=True).write_parquet(f"{KG_SCRATCH}/edges")
+    triple_files = sorted(glob.glob(f"{KG_SCRATCH}/triples/*.parquet"))
+    n_triples = sum(pq.read_metadata(f).num_rows for f in triple_files)
+    kg.write_graph(kg.read_triples(triple_files), KG_SCRATCH)
     t_wide = time.perf_counter() - t1
 
     total = t_narrow + t_wide
@@ -462,10 +459,10 @@ def run_stats() -> dict:
     and wide-phase operator stats to stderr, one summary JSON line to
     stdout."""
     _init_ray()
+    import glob
     import re
 
     import ray
-    import ray.data as rd
 
     from transner_ray.pipelines import kg
 
@@ -478,8 +475,8 @@ def run_stats() -> dict:
     )
     narrow_out.write_parquet(f"{KG_SCRATCH}/triples")
     narrow_stats = narrow_out.stats()
-    triples = rd.read_parquet(f"{KG_SCRATCH}/triples").materialize()
-    edges = kg.edges_dataset(triples, settle=True)
+    triples = kg.read_triples(sorted(glob.glob(f"{KG_SCRATCH}/triples/*.parquet")))
+    edges = kg.edges_dataset(triples.materialize())
     edges.write_parquet(f"{KG_SCRATCH}/edges")
     wide_stats = edges.stats()
     print("==== narrow spine ====", file=sys.stderr)

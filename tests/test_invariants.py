@@ -68,6 +68,113 @@ def test_extreme_skew_head_entity(tmp_path):
     assert want["per:mario rossi"] >= 600
 
 
+def _norm_entities(rows):
+    return sorted(
+        (r["entity_id"], r["canonical"], r["type"], tuple(r["aliases"]), r["support"])
+        for r in rows
+    )
+
+
+def _norm_edges(rows):
+    return sorted(
+        (r["subj_id"], r["pred"], r["obj_id"], r["weight"], tuple(r["sources"])) for r in rows
+    )
+
+
+def _linked_and_oracle():
+    """Linked triples of a 200-doc corpus as one Arrow table, and the
+    oracle's normalized (entities, edges) for the same corpus."""
+    from transner_ray.stages import graph
+    from transner_ray.stages.detect import make_detect_fn
+    from transner_ray.stages.extract import extract_text_batch
+    from transner_ray.stages.split import split_sentences_batch
+    from transner_ray.stages.triples import triples_batch
+
+    pages = synth.generate_pages_table(5, 200)
+    sentences = split_sentences_batch(extract_text_batch(pages))
+    linked = graph.link_triples_batch(triples_batch(make_detect_fn()(sentences)))
+    oracle = run_oracle(pages.to_pylist())
+    return linked, (_norm_entities(oracle["entities"]), _norm_edges(oracle["edges"]))
+
+
+def test_wide_phase_block_layout_invariant():
+    """The one-shuffle wide phase reduces each sorted block in one call,
+    which is exact only if no key straddles two reduce blocks. The same
+    linked triples as one block, as ~37-row blocks, and with a tiny
+    target block size must give identical entities and edges, equal to
+    the oracle."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from transner_ray.stages import graph
+
+    linked, want = _linked_and_oracle()
+
+    def reduced(ds):
+        g = kg.graph_dataset(ds).materialize()
+        # Ray passes an empty sort partition around a map UDF as a
+        # block without columns; it holds no rows, so skip it
+        t = pa.concat_tables([b for b in ray.get(g.to_arrow_refs()) if b.num_rows])
+        got = (
+            _norm_entities(graph.entity_rows(t).to_pylist()),
+            _norm_edges(graph.edge_rows(t).to_pylist()),
+        )
+        return got, g.num_blocks()
+
+    slices = [linked.slice(i, 37) for i in range(0, linked.num_rows, 37)]
+    one, _ = reduced(rd.from_arrow(linked))
+    many, many_blocks = reduced(rd.from_arrow(slices))
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 4096
+    try:
+        tiny, tiny_blocks = reduced(rd.from_arrow(linked))
+    finally:
+        ctx.target_max_block_size = saved
+    assert one == many == tiny == want
+    assert many_blocks >= 40 and tiny_blocks >= 40, (many_blocks, tiny_blocks)
+    # an empty batch, with or without columns, reduces to the fixed schema
+    assert graph.reduce_graph_block(pa.table({})).schema == graph.GRAPH
+    empty = graph.GRAPH_PARTIALS.empty_table()
+    assert graph.reduce_graph_block(empty).schema == graph.GRAPH
+
+
+def test_wide_read_bounds_blocks(tmp_path):
+    """The sort's intermediate objects grow with the square of its input
+    block count, so ``read_triples`` must not read one block per triple
+    file: 40+ files of 1.7k rows in all come back as one block, and
+    ``write_graph`` over them still equals the oracle. A 1-byte
+    ``target_min_block_size`` stops Ray merging the tiny files, as it
+    cannot merge the MB-sized files of a real run."""
+    import glob
+
+    from ray.data import DataContext
+
+    linked, want = _linked_and_oracle()
+    files = []
+    for i in range(0, linked.num_rows, 37):
+        files.append(str(tmp_path / f"triples-{i:06d}.parquet"))
+        pq.write_table(linked.slice(i, 37), files[-1])
+    ctx = DataContext.get_current()
+    saved = ctx.target_min_block_size
+    ctx.target_min_block_size = 1
+    try:
+        triples = kg.read_triples(files).materialize()
+        counts = kg.write_graph(triples, str(tmp_path / "out"))
+    finally:
+        ctx.target_min_block_size = saved
+    assert len(files) >= 40 and triples.num_blocks() == 1
+
+    def rows(name):
+        paths = sorted(glob.glob(str(tmp_path / "out" / name / "*.parquet")))
+        return [r for p in paths for r in pq.read_table(p).to_pylist()]
+
+    got = (_norm_entities(rows("entities")), _norm_edges(rows("edges")))
+    assert got == want and counts == {"entities": len(want[0]), "edges": len(want[1])}
+
+
 def test_mention_value_matches_sentence_surface():
     """Every detected mention's value must be EXACTLY the sentence
     substring at its offset — the contract that makes offsets usable by

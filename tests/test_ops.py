@@ -715,7 +715,7 @@ def test_kg_born_chain_vs_duckdb(con):
     through the REAL extract → split → detect → triples chain over the
     born-in carrier corpus, value-checked against SQL. Covers the
     born-cue selection in kg.extract_triples, per:/loc: linking, and
-    the partitioned hash-aggregate edge weights."""
+    the one-shuffle edge weights."""
     import importlib
 
     e = importlib.import_module("__ray_entry__")

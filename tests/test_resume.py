@@ -215,3 +215,24 @@ def test_legacy_manifest_upgraded_on_accept(workdir):
     os.utime(f0, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
     r3 = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
     assert 0 in r3["ran"]
+
+
+def test_partitioned_edges_sorted_on_disk(tmp_path, monkeypatch):
+    """``out/edges/*.parquet``, read in file-name order, is globally
+    sorted by subj_id: the order the docstring promises to readers of
+    the files, not only to readers of the lazy Dataset. A small
+    WIDE_ROWS_PER_BLOCK gives this small corpus several reduce blocks,
+    hence several edge files."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from transner_ray import synth
+
+    monkeypatch.setattr(kg, "WIDE_ROWS_PER_BLOCK", 1000)
+    paths = synth.write_pages(str(tmp_path / "pages"), seed=42, n_docs=600, num_shards=6)
+    res = kg.run_partitioned(paths, str(tmp_path / "ckpt"), num_partitions=3, write_mentions=False)
+    files = sorted(glob.glob(os.path.join(res["out_dir"], "edges", "*.parquet")))
+    subj = [s for f in files for s in pq.read_table(f, columns=["subj_id"])["subj_id"].to_pylist()]
+    assert len(files) > 1 and len(subj) == res["edges"]
+    assert subj == sorted(subj)

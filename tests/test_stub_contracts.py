@@ -449,6 +449,21 @@ def test_dateparser_hook_valueerror_yields_no_dates(stub_dateparser):
     assert make_dateparser_search_dates()("qualcosa") == []
 
 
+def test_dateparser_hook_lid_valueerror_yields_no_dates(stub_dateparser):
+    """A ValueError from the LID step is the reference's ``continue``
+    too (ner.py:274-281): no dates, and dateparser is never called."""
+    calls = []
+    stub_dateparser(lambda s, languages=None: calls.append(s) or [("x", object())])
+    from transner_ray.dates import make_dateparser_search_dates
+
+    class _RaisingLid:
+        def predict(self, text, k=1):
+            raise ValueError("predict processes one line at a time")
+
+    assert make_dateparser_search_dates(lid_model=_RaisingLid())("riga\nrotta") == []
+    assert calls == []
+
+
 def test_dateparser_hook_none_result_normalized(stub_dateparser):
     """dateparser returns None (not []) when nothing is found — the
     hook normalizes it so find_date_entities always sees a list."""

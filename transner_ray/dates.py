@@ -71,12 +71,12 @@ def make_dateparser_search_dates(lid_model=None) -> Callable:
 
     def hook(sentence: str, lang: str | None = None) -> list[tuple[str, object]]:
         use_lang = lang
-        if use_lang is None and lid_model is not None:
-            cleaned = re.sub(r"[^a-zA-Z0-9 ]", "", sentence)
-            labels, _probs = lid_model.predict(cleaned, k=1)
-            if labels:
-                use_lang = re.sub("__label__", "", labels[0])
         try:
+            if use_lang is None and lid_model is not None:
+                cleaned = re.sub(r"[^a-zA-Z0-9 ]", "", sentence)
+                labels, _probs = lid_model.predict(cleaned, k=1)
+                if labels:
+                    use_lang = re.sub("__label__", "", labels[0])
             return _dp_search(sentence, languages=[use_lang] if use_lang else None) or []
         except ValueError:
             return []  # reference: continue (ner.py:280-281)

@@ -52,7 +52,6 @@ class PipelineConfig:
     detect_batch_size: int = 256
     use_actor_pool: bool = False  # True for the BertTagger GPU path
     detect_concurrency: int | tuple[int, int] | None = None
-    wide_num_blocks: int = 8
     extra_steps: tuple[Step, ...] = field(default=())  # user stages, applied after detect
 
 
@@ -115,6 +114,6 @@ def build_kg_pipeline(pages: rd.Dataset, cfg: PipelineConfig | None = None) -> d
         "sentence_mentions": spine,
         "mentions": kg.mentions_dataset(spine),
         "triples": linked,
-        "entities": kg.entities_dataset(linked, wide_num_blocks=cfg.wide_num_blocks),
-        "edges": kg.edges_dataset(linked, wide_num_blocks=cfg.wide_num_blocks),
+        "entities": kg.entities_dataset(linked),
+        "edges": kg.edges_dataset(linked),
     }

@@ -2,13 +2,17 @@
 
     read_parquet(pages) → extract (E) → split (S) → detect (N, actor
     pool) → [explode → mentions] / [triples (T) → link (L)] →
-    canonicalize (C, combiner + groupby) → edges (G, combiner +
-    groupby + sort('subj_id')) → write_parquet
+    canonicalize (C) + edges (G): union-tagged combiner partials →
+    sort('key') → one Arrow reduce per block → entities / edges
+    (+ sort('subj_id')) → write_parquet
 
-Narrow stages are all ``map_batches`` over Arrow batches; the only
-shuffles are the two final groupbys over combiner-reduced partials and
-the one global sort of the edge table (SURVEY.md §4.2 skew notes on
-why combiners defuse the Zipf head).
+Narrow stages are all ``map_batches`` over Arrow batches. The wide
+phase shuffles once: entity and edge partials both key on an entity id
+(``entity_id``, ``subj_id``), so one sort on that key co-locates both
+kinds of group and one vectorized call per sorted block reduces them
+(stages/graph.py). The only other shuffle is the global sort of the
+reduced edge table. The per-block combiner collapses the Zipf head
+before the shuffle (SURVEY.md §4.2 skew notes).
 
 Two run modes:
 
@@ -23,9 +27,11 @@ Two run modes:
 
 from __future__ import annotations
 
+import glob
 import os
+import shutil
 
-import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -34,11 +40,11 @@ from ..gazetteers import default_gazetteers
 from ..stages.detect import MentionDetector, explode_mentions_batch
 from ..stages.extract import extract_text_batch
 from ..stages.graph import (
+    edge_rows,
+    entity_rows,
+    graph_partials_batch,
     link_triples_batch,
-    make_edge_partials,
-    make_entity_partials,
-    reduce_edge_bucket,
-    reduce_entity_bucket,
+    reduce_graph_block,
 )
 from ..stages.split import split_sentences_batch
 from ..stages.triples import triples_batch
@@ -177,66 +183,69 @@ def linked_triples_dataset(
     return triples.map_batches(link_triples_batch, batch_format="pyarrow")
 
 
-def entities_dataset(
-    linked: rd.Dataset,
-    settle: bool = False,
-    wide_num_blocks: int = 8,
-    num_buckets: int | None = None,
-) -> rd.Dataset:
-    """Canonicalization: per-block partial counts (the combiner that
-    defuses Zipf-head skew) → partitioned hash-aggregate: groupby on
-    the crc32 bucket column, ONE vectorized pandas reduce per bucket
-    (stages/graph.py) — never one Python call per entity.
-
-    ``wide_num_blocks`` coalesces the partials before the all-to-all:
-    the sort-based shuffle creates blocks × partitions intermediate
-    objects, so 100+ small partial blocks → a task storm (measured
-    6x slower). ``num_buckets`` is the reduce fan-out (None → the
-    64-bucket floor). Both knobs are SCALED WITH THE TRIPLE COUNT by
-    ``run_partitioned`` (which knows the input size from the
-    checkpoint parquet footers); callers composing lazily over inputs
-    of unknown size keep the floors. ``settle=True`` materializes the
-    partials (BEFORE the coalesce — see the ordering note below) —
-    right when the upstream is parquet-backed; it EXECUTES the
-    upstream at call time, so keep it False in lazy multi-output
-    compositions."""
-    # settle BEFORE the coalesce: non-shuffle repartition re-executes
-    # a lazy upstream chain (round-5 finding — see bench.py narrow
-    # phase), but over materialized blocks it is a cheap re-split of
-    # pinned objects. Order matters: materialize-then-repartition runs
-    # the read+partials map ONCE; the old repartition-then-materialize
-    # ran it twice (a 2x input read at 10^9 triples).
-    partials = linked.map_batches(
-        make_entity_partials(num_buckets or 64), batch_format="pyarrow"
-    )
-    if settle:
-        partials = partials.materialize()
-    partials = partials.repartition(wide_num_blocks)
-    return partials.groupby("bucket").map_groups(
-        reduce_entity_bucket, batch_format="pandas"
-    )
-
-
-def edges_dataset(
-    linked: rd.Dataset,
-    settle: bool = False,
-    wide_num_blocks: int = 8,
-    num_buckets: int | None = None,
-) -> rd.Dataset:
-    """Edge weights + capped provenance (partitioned hash-aggregate),
-    then the one global sort. Parameters as in entities_dataset."""
-    # settle-then-coalesce ordering: see entities_dataset
-    partials = linked.map_batches(
-        make_edge_partials(num_buckets or 64), batch_format="pyarrow"
-    )
-    if settle:
-        partials = partials.materialize()
-    partials = partials.repartition(wide_num_blocks)
+def graph_dataset(linked: rd.Dataset) -> rd.Dataset:
+    """Canonicalization + edge weighting in ONE shuffle: union-tagged
+    combiner partials → ``sort('key')`` → one Arrow reduce per block,
+    giving GRAPH rows (entities and edges tagged by ``kind``). A sort
+    never splits a key across output blocks and ``batch_size=None``
+    hands the reduce whole blocks — the guarantee
+    ``GroupedData.map_groups`` builds on — so every group is reduced
+    exactly once, in one Python call per block, never one per key."""
     return (
-        partials.groupby("bucket")
-        .map_groups(reduce_edge_bucket, batch_format="pandas")
-        .sort("subj_id")
+        linked.map_batches(graph_partials_batch, batch_format="pyarrow")
+        .sort("key")
+        .map_batches(reduce_graph_block, batch_format="pyarrow", batch_size=None)
     )
+
+
+def _entities(graph: rd.Dataset) -> rd.Dataset:
+    return graph.map_batches(entity_rows, batch_format="pyarrow")
+
+
+def _edges(graph: rd.Dataset) -> rd.Dataset:
+    """Edges, globally sorted by subj_id (the sort touches only reduced rows)."""
+    return graph.map_batches(edge_rows, batch_format="pyarrow").sort("subj_id")
+
+
+def entities_dataset(linked: rd.Dataset) -> rd.Dataset:
+    """Canonical entities (ENTITIES) of linked triples."""
+    return _entities(graph_dataset(linked))
+
+
+def edges_dataset(linked: rd.Dataset) -> rd.Dataset:
+    """Weighted edges with capped provenance (EDGES), sorted by subj_id."""
+    return _edges(graph_dataset(linked))
+
+
+WIDE_ROWS_PER_BLOCK = 1 << 17
+
+
+def read_triples(triple_files: list[str]) -> rd.Dataset:
+    """Linked triples from parquet in one block per WIDE_ROWS_PER_BLOCK
+    footer rows, at most one per file. The sort in graph_dataset has a
+    reducer per input block, so a block per triple file (one per detect
+    task) is a task storm at hundreds of files."""
+    n_rows = sum(pq.read_metadata(f).num_rows for f in triple_files)
+    blocks = min(len(triple_files), max(1, -(-n_rows // WIDE_ROWS_PER_BLOCK)))
+    return rd.read_parquet(triple_files, override_num_blocks=blocks)
+
+
+def write_graph(linked: rd.Dataset, out_dir: str) -> dict[str, int]:
+    """Entities and edges of ``linked`` under ``out_dir/{entities,edges}``
+    from ONE shuffle: the small reduced table is materialized once and
+    written as two projections, each via a tmp dir + atomic rename (a
+    rerun replaces, never accumulates). Returns the footer row counts."""
+    graph = graph_dataset(linked).materialize()
+    counts = {}
+    for name, ds in (("entities", _entities(graph)), ("edges", _edges(graph))):
+        final = os.path.join(out_dir, name)
+        tmp = final + ".tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        ds.write_parquet(tmp)
+        counts[name] = _parquet_rows(tmp)
+        shutil.rmtree(final, ignore_errors=True)
+        os.replace(tmp, final)
+    return counts
 
 
 def kg_datasets(
@@ -272,7 +281,6 @@ def run_partitioned(
     detect_concurrency: int | tuple[int, int] | None = None,
     detect_batch_size: int = 256,
     write_mentions: bool = True,
-    wide_num_blocks: int = 8,
     gazetteers=None,
     input_format: str = "parquet",
 ) -> dict:
@@ -284,8 +292,8 @@ def run_partitioned(
     or ``num_partitions`` invalidates the partition and it re-runs.
     Phase 2 (wide, over all partition outputs): entities + edges, edges
     globally sorted by subj_id, written under ``out_dir`` (defaults to
-    ``ckpt_dir/out``). ``wide_num_blocks`` is threaded to the phase-2
-    partial coalesce (see entities_dataset).
+    ``ckpt_dir/out``) by :func:`write_graph` over
+    :func:`read_triples`.
 
     Returns {'skipped': [...], 'ran': [...], 'entities': n, 'edges': n,
     'out_dir': ...}.
@@ -370,17 +378,6 @@ def run_partitioned(
                 read_pages(files), detect_concurrency, detect_batch_size, gazetteers=gazetteers
             )
         rows: dict[str, int] = {}
-
-        def _rows_written(stage: str) -> int:
-            import glob as _glob
-
-            import pyarrow.parquet as _pq
-
-            return sum(
-                _pq.read_metadata(f).num_rows
-                for f in _glob.glob(os.path.join(store.tmp_stage_dir(stage, pid), "*.parquet"))
-            )
-
         if write_mentions:
             # two consumers of the spine within one partition: checkpoint
             # the nested sentence-mentions once, then derive both outputs
@@ -389,15 +386,13 @@ def run_partitioned(
             sm = rd.read_parquet(sm_dir)
             mentions = mentions_dataset(sm)
             mentions.write_parquet(store.tmp_stage_dir("mentions", pid))
-            rows["mentions"] = _rows_written("mentions")
+            rows["mentions"] = _parquet_rows(store.tmp_stage_dir("mentions", pid))
             store.commit_stage_dir("mentions", pid)
         linked = linked_triples_dataset(sm)
         linked.write_parquet(store.tmp_stage_dir("triples", pid))
-        rows["triples"] = _rows_written("triples")
+        rows["triples"] = _parquet_rows(store.tmp_stage_dir("triples", pid))
         store.commit_stage_dir("triples", pid)
         if write_mentions:
-            import shutil
-
             shutil.rmtree(store.tmp_stage_dir("sm", pid), ignore_errors=True)
         store.write_manifest(
             PartitionManifest(
@@ -411,54 +406,18 @@ def run_partitioned(
         ran.append(pid)
 
     # ---- phase 2: wide aggregates over all completed partitions --------
-    # Re-run on every invocation (cheap relative to phase 1); written
-    # via tmp-dir + atomic rename so a rerun REPLACES rather than
-    # accumulates part files.
-    import shutil
-
+    # Re-run on every invocation (cheap relative to phase 1).
     out_dir = out_dir or os.path.join(ckpt_dir, "out")
     triple_files = store.completed_stage_files("triples")
     if not triple_files:
         # no completed partitions (empty input plan): a clean no-op
         # beats read_parquet([])'s unhelpful error
-        return {
-            "skipped": skipped,
-            "ran": ran,
-            "entities": 0,
-            "edges": 0,
-            "out_dir": out_dir,
-        }
-    # Scale the wide phase's fan-out with the actual triple count
-    # (parquet footers only — no execution): at 10^9+ triples the
-    # reduce is thousands of bounded tasks, not 64 tasks each holding
-    # 1/64 of the partials. Explicit wide_num_blocks still wins.
-    import pyarrow.parquet as _pq
+        return {"skipped": skipped, "ran": ran, "entities": 0, "edges": 0, "out_dir": out_dir}
+    counts = write_graph(read_triples(triple_files), out_dir)
+    return {"skipped": skipped, "ran": ran, **counts, "out_dir": out_dir}
 
-    from ..ops.agg import scaled_num_buckets
 
-    n_triples = sum(_pq.read_metadata(f).num_rows for f in triple_files)
-    num_buckets = scaled_num_buckets(n_triples, floor=64)
-    wide_num_blocks = max(wide_num_blocks, num_buckets // 8)
-    triples = rd.read_parquet(triple_files)
-    entities = entities_dataset(
-        triples, settle=True, wide_num_blocks=wide_num_blocks, num_buckets=num_buckets
-    )
-    edges = edges_dataset(
-        triples, settle=True, wide_num_blocks=wide_num_blocks, num_buckets=num_buckets
-    )
-    for name, ds in (("entities", entities), ("edges", edges)):
-        final = os.path.join(out_dir, name)
-        tmp = final + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(tmp, final)
-    n_entities = rd.read_parquet(os.path.join(out_dir, "entities")).count()
-    n_edges = rd.read_parquet(os.path.join(out_dir, "edges")).count()
-    return {
-        "skipped": skipped,
-        "ran": ran,
-        "entities": n_entities,
-        "edges": n_edges,
-        "out_dir": out_dir,
-    }
+def _parquet_rows(directory: str) -> int:
+    """Rows written under ``directory``, from the parquet footers (no execution)."""
+    files = glob.glob(os.path.join(directory, "*.parquet"))
+    return sum(pq.read_metadata(f).num_rows for f in files)

@@ -30,7 +30,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out-dir", default=None, help="final outputs (default: <ckpt>/out)")
     ap.add_argument("--num-partitions", type=int, default=16)
     ap.add_argument("--detect-batch-size", type=int, default=256)
-    ap.add_argument("--wide-num-blocks", type=int, default=8)
     ap.add_argument("--no-mentions", action="store_true", help="skip the flat mentions output")
     ap.add_argument("--num-cpus", type=int, default=None, help="local-mode CPU cap (tests)")
     args = ap.parse_args(argv)
@@ -66,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         num_partitions=args.num_partitions,
         detect_batch_size=args.detect_batch_size,
         write_mentions=not args.no_mentions,
-        wide_num_blocks=args.wide_num_blocks,
         input_format=args.input_format,
     )
     print(json.dumps(result))

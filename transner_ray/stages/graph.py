@@ -3,28 +3,26 @@
 * ``link_triples_batch``: stateless map; alias table is tiny (SURVEY.md
   §2.4 J-new) and captured in the task closure — a broadcast semi-join,
   never a shuffle join.
-* canonicalization + edge weighting are the two wide (shuffle) steps.
-  Both are SALTED-two-phase in the combiner sense: a vectorized
-  per-batch PARTIAL aggregate first collapses each block to its
-  distinct keys (the Zipf head entity contributes ≤1 row per block
-  instead of one row per occurrence), then the small partials go
-  through a PARTITIONED HASH-AGGREGATE: rows carry a
-  ``crc32(key) % NUM_AGG_BUCKETS`` bucket column, ``groupby('bucket')``
-  shuffles once into ~64 coarse partitions, and each bucket is reduced
-  by ONE vectorized pandas call (never one Python call per key — at
-  millions of distinct edges that is the difference between a
-  shuffle-bound and a Python-bound wide phase). Skew defusal
-  (SURVEY.md §4.2): the combiner collapses the Zipf head to ≤1 row per
-  block, and hash-bucketing spreads keys uniformly over reducers.
+* canonicalization + edge weighting share ONE shuffle. A per-batch
+  combiner (``graph_partials_batch``) first collapses each block to its
+  distinct keys — the Zipf-head entity contributes ≤1 row per block
+  instead of one row per occurrence (SURVEY.md §4.2 skew notes) — and
+  tags each partial row with its ``kind``: entity rows keyed by
+  ``entity_id``, edge rows keyed by ``subj_id``. A sort on that one
+  ``key`` column puts every group in one block, so ``reduce_graph_block``
+  reduces a whole block in one call of Arrow kernels and emits entities
+  and edges together; ``entity_rows``/``edge_rows`` project them into
+  the ENTITIES and EDGES tables. Nothing loops over rows in Python.
 """
 
 from __future__ import annotations
 
-import zlib
-
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..kg import build_alias_table, link_entity
+from ..schemas import EDGES, ENTITIES
 
 LINKED_TRIPLES_FIELDS = [
     ("subj", pa.string()),
@@ -71,206 +69,246 @@ def link_triples_batch(batch: pa.Table) -> pa.Table:
     return out
 
 
-# ---------------------------------------------------------------- entities
+# ------------------------------------------------------- wide-phase schemas
 
-NUM_AGG_BUCKETS = 64  # floor fan-out; run_partitioned scales it with the
-# triple count via ops/agg.scaled_num_buckets (make_entity_partials /
-# make_edge_partials below)
+ENTITY, EDGE = 0, 1  # the ``kind`` tag of partial and reduced rows
+EDGE_KEYS = ["subj_id", "pred", "obj_id"]
+MAX_EDGE_SOURCES = 8
 
 ENTITY_PARTIALS = pa.schema(
     [
-        ("bucket", pa.int32()),
         ("entity_id", pa.string()),
         ("surface", pa.string()),
         ("type", pa.string()),
         ("n", pa.int64()),
     ]
 )
-
-
-def _bucket(key: str, num_buckets: int = NUM_AGG_BUCKETS) -> int:
-    """Deterministic hash bucket for the partitioned hash-aggregate
-    (never Python ``hash`` — it is salted per process)."""
-    return zlib.crc32(key.encode("utf-8")) % num_buckets
-
-
-def make_entity_partials(num_buckets: int = NUM_AGG_BUCKETS):
-    """Partial combiner factory: linked triples → per-block (entity_id,
-    surface, type) counts over BOTH endpoints, one row per distinct key
-    per block, bucketed by hash(entity_id) for the partitioned
-    hash-aggregate reduce. ``num_buckets`` is the reduce fan-out —
-    scaled with the triple count by run_partitioned, floor 64."""
-
-    def entity_partials_batch(batch: pa.Table) -> pa.Table:
-        # vectorized combiner: this is the hot path of the wide phase
-        # (every triple endpoint flows through it), so the per-block
-        # collapse is ONE pandas groupby — never a Python loop over
-        # rows. Only the post-groupby UNIQUE keys see Python (crc32
-        # bucketing), and those are ≤ distinct-entities-per-block.
-        import pandas as pd
-
-        sub = batch.select(["subj_id", "subj", "subj_type"]).rename_columns(
-            ["entity_id", "surface", "type"]
-        )
-        obj = batch.select(["obj_id", "obj", "obj_type"]).rename_columns(
-            ["entity_id", "surface", "type"]
-        )
-        objdf = obj.to_pandas()
-        # obj side: None type → "" (objects may be untyped values);
-        # subj side keeps None as-is (groupby dropna=False preserves it)
-        objdf["type"] = objdf["type"].fillna("")
-        df = pd.concat([sub.to_pandas(), objdf], ignore_index=True)
-        g = (
-            df.groupby(["entity_id", "surface", "type"], sort=False, dropna=False)
-            .size()
-            .reset_index(name="n")
-        )
-        bmap = {
-            u: _bucket(u, num_buckets) for u in pd.unique(g["entity_id"])
-        }
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    g["entity_id"].map(bmap).to_numpy(dtype="int32"), pa.int32()
-                ),
-                "entity_id": pa.array(g["entity_id"], pa.string()),
-                "surface": pa.array(g["surface"], pa.string()),
-                "type": pa.array(g["type"], pa.string()),
-                "n": pa.array(g["n"].to_numpy(dtype="int64"), pa.int64()),
-            },
-            schema=ENTITY_PARTIALS,
-        )
-
-    return entity_partials_batch
-
-
-entity_partials_batch = make_entity_partials()
-
-
-def reduce_entity_bucket(df) -> pa.Table:
-    """VECTORIZED reduce of one hash bucket of entity partials (one
-    Python call per bucket, pandas kernels inside — never one call per
-    entity). Canonical surface = max (total count, surface) — matching
-    the oracle's ``max((count, surface))`` tie-break."""
-    import pandas as pd
-
-    surf = (
-        df.groupby(["entity_id", "surface"], as_index=False)["n"].sum()
-        .sort_values(["entity_id", "n", "surface"])
-    )
-    canonical = surf.groupby("entity_id").tail(1).set_index("entity_id")["surface"]
-    aliases = (
-        surf.sort_values(["entity_id", "surface"])
-        .groupby("entity_id")["surface"]
-        .agg(list)
-    )
-    support = surf.groupby("entity_id")["n"].sum()
-    typ = (
-        df.groupby(["entity_id", "type"], as_index=False)["n"].sum()
-        .sort_values(["entity_id", "n", "type"])
-    )
-    etype = typ.groupby("entity_id").tail(1).set_index("entity_id")["type"]
-    out = pd.DataFrame(
-        {
-            "entity_id": canonical.index,
-            "canonical": canonical.values,
-            "type": etype.reindex(canonical.index).values,
-            "aliases": aliases.reindex(canonical.index).values,
-            "support": support.reindex(canonical.index).astype("int64").values,
-        }
-    )
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
-MAX_EDGE_SOURCES = 8
-
 EDGE_PARTIALS = pa.schema(
     [
-        ("bucket", pa.int32()),
         ("subj_id", pa.string()),
         ("pred", pa.string()),
         ("obj_id", pa.string()),
-        ("weight", pa.int64()),
         ("source", pa.string()),
+        ("n", pa.int64()),  # the edge weight, on its first source row only
+    ]
+)
+# union of both partials, keyed by ENTITY_PARTIALS.entity_id /
+# EDGE_PARTIALS.subj_id; a column the row's kind lacks is null
+GRAPH_PARTIALS = pa.schema(
+    [
+        ("key", pa.string()),
+        ("kind", pa.int8()),
+        ("surface", pa.string()),
+        ("type", pa.string()),
+        ("pred", pa.string()),
+        ("obj_id", pa.string()),
+        ("source", pa.string()),
+        ("n", pa.int64()),
+    ]
+)
+# union of ENTITIES and EDGES rows, keyed the same way
+GRAPH = pa.schema(
+    [
+        ("key", pa.string()),
+        ("kind", pa.int8()),
+        ("canonical", pa.string()),
+        ("type", pa.string()),
+        ("aliases", pa.list_(pa.string())),
+        ("support", pa.int64()),
+        ("pred", pa.string()),
+        ("obj_id", pa.string()),
+        ("weight", pa.int64()),
+        ("sources", pa.list_(pa.string())),
     ]
 )
 
 
-def make_edge_partials(num_buckets: int = NUM_AGG_BUCKETS):
-    """Partial combiner factory: linked triples → per-block edge
-    weights with a capped provenance sample, one row per (edge, sampled
-    source). ``num_buckets`` scaled as in make_entity_partials.
+def _tagged(kind: int, t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``t`` (first column = the key) as ``schema`` rows of one kind."""
+    n = t.num_rows
+    cols = {"key": t.column(0), "kind": pa.array(np.full(n, kind, np.int8))}
+    return pa.table(
+        [
+            cols[f.name] if f.name in cols
+            else t.column(f.name) if f.name in t.column_names
+            else pa.nulls(n, f.type)
+            for f in schema
+        ],
+        schema=schema,
+    )
+
+
+def _untagged(t: pa.Table, kind: int, schema: pa.Schema) -> pa.Table:
+    """Inverse of :func:`_tagged`: the ``kind`` rows of ``t`` as ``schema``."""
+    rows = t.filter(pc.equal(t.column("kind"), kind))
+    return rows.select(["key", *schema.names[1:]]).rename_columns(schema.names)
+
+
+def _run_offsets(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Start offsets of the runs of equal ``keys`` in ``t`` (sorted by
+    them), closed by ``t.num_rows`` — ListArray offsets of the groups.
+    The keys are entity ids and predicates, never null."""
+    n = t.num_rows
+    new = np.ones(n, dtype=bool)
+    if n > 1:
+        same = np.ones(n - 1, dtype=bool)
+        for k in keys:
+            col = t.column(k)
+            same &= pc.equal(col.slice(1), col.slice(0, n - 1)).to_numpy()
+        new[1:] = ~same
+    return np.append(np.flatnonzero(new), n).astype(np.int32)
+
+
+def _ascending(keys: list[str]) -> list[tuple[str, str]]:
+    return [(k, "ascending") for k in keys]
+
+
+def _sum_n(t: pa.Table, keys: list[str]) -> pa.Table:
+    """``keys`` + the total ``n`` per distinct ``keys``, sorted by them."""
+    g = t.group_by(keys).aggregate([("n", "sum")])
+    return g.select([*keys, "n_sum"]).rename_columns([*keys, "n"]).sort_by(_ascending(keys))
+
+
+def _edge_sources(t: pa.Table) -> pa.Table:
+    """The distinct (subj_id, pred, obj_id, source) rows of ``t``, sorted."""
+    keys = [*EDGE_KEYS, "source"]
+    return t.group_by(keys).aggregate([]).sort_by(_ascending(keys))
+
+
+# ---------------------------------------------------------------- partials
+
+
+def entity_partials_batch(batch: pa.Table) -> pa.Table:
+    """Linked triples → ENTITY_PARTIALS: (entity_id, surface, type)
+    counts over BOTH endpoints, one row per distinct key in the batch.
+    Untyped objects count under type "" (the oracle's ``obj_type or ""``)."""
+    cols = ENTITY_PARTIALS.names[:3]
+    obj = batch.select(["obj_id", "obj", "obj_type"]).rename_columns(cols)
+    ends = pa.concat_tables(
+        [
+            batch.select(["subj_id", "subj", "subj_type"]).rename_columns(cols),
+            obj.set_column(2, "type", pc.fill_null(obj.column("type"), "")),
+        ]
+    )
+    g = ends.group_by(cols).aggregate([([], "count_all")])
+    return g.select([*cols, "count_all"]).rename_columns(ENTITY_PARTIALS.names)
+
+
+def edge_partials_batch(batch: pa.Table) -> pa.Table:
+    """Linked triples → EDGE_PARTIALS: per edge, its first
+    MAX_EDGE_SOURCES distinct urls in sorted order, the edge weight
+    carried on the first of them (so the reduce sums without double
+    counting).
 
     Cap-after-sort determinism: the union of per-block sorted-first-K
     source samples, sorted and re-capped in the reduce, equals the
     global sorted-first-K (any url in the global first K has at most
     K-1 smaller urls in its own block) — oracle-identical."""
+    t = batch.select([*EDGE_KEYS, "url"]).rename_columns([*EDGE_KEYS, "source"])
+    weight = t.group_by(EDGE_KEYS).aggregate([([], "count_all")]).sort_by(_ascending(EDGE_KEYS))
+    src = _edge_sources(t)
+    off = _run_offsets(src, EDGE_KEYS)  # run i = edge i of ``weight``
+    edge = np.repeat(np.arange(len(off) - 1), np.diff(off))
+    rank = np.arange(src.num_rows) - off[edge]
+    n = np.where(rank == 0, weight.column("count_all").to_numpy()[edge], 0)
+    out = src.append_column("n", pa.array(n, pa.int64()))
+    return out.filter(pa.array(rank < MAX_EDGE_SOURCES)).select(EDGE_PARTIALS.names)
 
-    def edge_partials_batch(batch: pa.Table) -> pa.Table:
-        # vectorized combiner (the triple-shaped hot path): weight per
-        # edge = one groupby.size; the capped source sample = one
-        # drop_duplicates + stable sort + per-edge cumcount — no
-        # Python loop over rows, crc32 only over unique subj_ids.
-        import numpy as np
-        import pandas as pd
 
-        df = batch.select(["subj_id", "pred", "obj_id", "url"]).to_pandas()
-        keys = ["subj_id", "pred", "obj_id"]
-        w = df.groupby(keys, sort=False, dropna=False).size().rename("w")
-        dd = df.drop_duplicates(keys + ["url"]).sort_values(
-            keys + ["url"], kind="mergesort"
-        )
-        rank = dd.groupby(keys, sort=False, dropna=False).cumcount()
-        keep = (rank < MAX_EDGE_SOURCES).to_numpy()
-        dd = dd[keep]
-        first = rank.to_numpy()[keep] == 0
-        dd = dd.join(w, on=keys)
-        # carry the edge weight on the first (url-sorted) source row
-        # only, so the reduce can sum without double counting
-        weights = np.where(first, dd["w"].to_numpy(), 0).astype("int64")
-        bmap = {
-            u: _bucket(u, num_buckets) for u in pd.unique(dd["subj_id"])
-        }
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    dd["subj_id"].map(bmap).to_numpy(dtype="int32"), pa.int32()
-                ),
-                "subj_id": pa.array(dd["subj_id"], pa.string()),
-                "pred": pa.array(dd["pred"], pa.string()),
-                "obj_id": pa.array(dd["obj_id"], pa.string()),
-                "weight": pa.array(weights, pa.int64()),
-                "source": pa.array(dd["url"], pa.string()),
-            },
-            schema=EDGE_PARTIALS,
-        )
+def graph_partials_batch(batch: pa.Table) -> pa.Table:
+    """Linked triples → GRAPH_PARTIALS: both combiners' rows, tagged."""
+    return pa.concat_tables(
+        [
+            _tagged(ENTITY, entity_partials_batch(batch), GRAPH_PARTIALS),
+            _tagged(EDGE, edge_partials_batch(batch), GRAPH_PARTIALS),
+        ]
+    )
 
+
+# ----------------------------------------------------------------- reduces
+
+
+def _top(t: pa.Table, value: str) -> pa.ChunkedArray:
+    """Per entity_id of ``t`` (entity_id, value, n), the ``value`` with
+    the largest (n, value) — the oracle's ``max((count, value))``."""
+    s = t.sort_by([("entity_id", "ascending"), ("n", "descending"), (value, "descending")])
+    return s.column(value).take(_run_offsets(s, ["entity_id"])[:-1])
+
+
+def reduce_entities(p: pa.Table) -> pa.Table:
+    """ENTITY_PARTIALS holding every partial of its entities → ENTITIES
+    in entity_id order: canonical surface and type by (count, value)
+    max, aliases = the sorted distinct surfaces, support = the count."""
+    surf = _sum_n(p, ["entity_id", "surface"])
+    off = _run_offsets(surf, ["entity_id"])
+    total = np.concatenate([[0], np.cumsum(surf.column("n").to_numpy())])
+    return pa.table(
+        [
+            surf.column("entity_id").take(off[:-1]),
+            _top(surf, "surface"),
+            _top(_sum_n(p, ["entity_id", "type"]), "type"),
+            pa.ListArray.from_arrays(off, surf.column("surface").combine_chunks()),
+            pa.array(total[off[1:]] - total[off[:-1]], pa.int64()),
+        ],
+        schema=ENTITIES,
+    )
+
+
+def reduce_edges(p: pa.Table) -> pa.Table:
+    """EDGE_PARTIALS holding every partial of its edges → EDGES in
+    (subj_id, pred, obj_id) order: weight = sum, sources = the sorted
+    distinct first MAX_EDGE_SOURCES urls."""
+    weight = _sum_n(p, EDGE_KEYS)
+    src = _edge_sources(p)
+    sources = pa.ListArray.from_arrays(
+        _run_offsets(src, EDGE_KEYS), src.column("source").combine_chunks()
+    )
+    return pa.table(
+        [
+            *(weight.column(k) for k in EDGE_KEYS),
+            weight.column("n"),
+            pc.list_slice(sources, 0, MAX_EDGE_SOURCES),
+        ],
+        schema=EDGES,
+    )
+
+
+def reduce_graph_block(block: pa.Table) -> pa.Table:
+    """One block of GRAPH_PARTIALS sorted by ``key`` → its entities and
+    edges as GRAPH rows. Correct only when the block holds every
+    partial of each key it contains, which a sort on ``key`` followed by
+    whole-block batches guarantees."""
+    if block.num_rows == 0:  # an empty sort partition may carry no columns
+        return GRAPH.empty_table()
+    return pa.concat_tables(
+        [
+            _tagged(ENTITY, reduce_entities(_untagged(block, ENTITY, ENTITY_PARTIALS)), GRAPH),
+            _tagged(EDGE, reduce_edges(_untagged(block, EDGE, EDGE_PARTIALS)), GRAPH),
+        ]
+    )
+
+
+def entity_rows(graph: pa.Table) -> pa.Table:
+    return _untagged(graph, ENTITY, ENTITIES)
+
+
+def edge_rows(graph: pa.Table) -> pa.Table:
+    return _untagged(graph, EDGE, EDGES)
+
+
+# perfbench/kernels.py times the kernels through these names, handing
+# the reduces their partials as pandas frames.
+def make_entity_partials():
+    return entity_partials_batch
+
+
+def make_edge_partials():
     return edge_partials_batch
 
 
-edge_partials_batch = make_edge_partials()
+def reduce_entity_bucket(df) -> pa.Table:
+    return reduce_entities(pa.Table.from_pandas(df, ENTITY_PARTIALS, preserve_index=False))
 
 
 def reduce_edge_bucket(df) -> pa.Table:
-    """VECTORIZED reduce of one hash bucket of edge partials: weight =
-    sum, sources = sorted distinct first MAX_EDGE_SOURCES. One Python
-    call per bucket; pandas kernels inside."""
-    import pandas as pd
-
-    keys = ["subj_id", "pred", "obj_id"]
-    w = df.groupby(keys, as_index=False)["weight"].sum()
-    src = (
-        df[keys + ["source"]]
-        .drop_duplicates()
-        .sort_values(keys + ["source"])
-        .groupby(keys)
-        .head(MAX_EDGE_SOURCES)
-        .groupby(keys)["source"]
-        .agg(list)
-        .rename("sources")
-        .reset_index()
-    )
-    out = w.merge(src, on=keys)
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
+    return reduce_edges(pa.Table.from_pandas(df, EDGE_PARTIALS, preserve_index=False))
