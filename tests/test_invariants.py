@@ -2,15 +2,21 @@
 seed-42-specific accidents) and the mention-surface guarantee every
 downstream consumer relies on."""
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transner_ray import synth
 from transner_ray.gazetteers import default_gazetteers
-from transner_ray.kg import detect_mentions
+from transner_ray.kg import _BORN_CUES, PII_PREDICATES, detect_mentions, extract_triples
 from transner_ray.oracle import run_oracle
 from transner_ray.pipelines import kg
 from transner_ray.splitting import split_sentences
 from transner_ray.tagger import RuleTagger
+from transner_ray.textops import REGEX_PATTERNS, SHORT_TO_TYPE
 
 
 def test_second_seed_engine_equals_oracle(tmp_path):
@@ -173,6 +179,130 @@ def test_wide_read_bounds_blocks(tmp_path):
 
     got = (_norm_entities(rows("entities")), _norm_edges(rows("edges")))
     assert got == want and counts == {"entities": len(want[0]), "edges": len(want[1])}
+
+
+def _sentence_mentions(n_docs=40):
+    from transner_ray.stages.detect import make_detect_fn
+    from transner_ray.stages.extract import extract_text_batch
+    from transner_ray.stages.split import split_sentences_batch
+
+    pages = synth.generate_pages_table(5, n_docs)
+    return make_detect_fn()(split_sentences_batch(extract_text_batch(pages)))
+
+
+def _triples_reference(batch):
+    """Per-row reference of ``triples_batch``: the rules over
+    ``to_pylist()`` rows, a null mention list read as empty."""
+    from transner_ray.schemas import TRIPLES
+
+    rows = [
+        {**t, "url": r["url"], "sent_idx": r["sent_idx"]}
+        for r in batch.to_pylist()
+        for t in extract_triples(r["sentence"], r["mentions"] or [])
+    ]
+    return pa.Table.from_pylist(rows, schema=TRIPLES)
+
+
+def _link_reference(triples):
+    """Per-row reference of ``link_triples_batch``: ``link_entity`` on
+    every endpoint."""
+    from transner_ray.kg import build_alias_table, link_entity
+    from transner_ray.stages import graph
+
+    aliases = build_alias_table()
+    rows = triples.to_pylist()
+    for t in rows:
+        t["subj_id"] = link_entity(t["subj"], t["subj_type"], aliases)
+        t["obj_id"] = link_entity(t["obj"], t["obj_type"], aliases)
+    return pa.Table.from_pylist(rows, schema=graph.LINKED_TRIPLES)
+
+
+def test_narrow_kernels_equal_per_row_reference(tmp_path):
+    """``triples_batch`` reads the mention lists as flat Arrow columns
+    and ``link_triples_batch`` links once per distinct endpoint. Both
+    must equal the per-row reference on batches whose layout differs
+    from a freshly detected block: a slice (list offsets not starting at
+    0, while ``.values`` still holds the whole block), a column read
+    back from parquet in many chunks, null and empty mention lists, an
+    empty batch, and null object types."""
+    from transner_ray.schemas import SENTENCE_MENTIONS, TRIPLES
+    from transner_ray.stages import graph
+    from transner_ray.stages.triples import triples_batch
+
+    sm = _sentence_mentions()
+    path = str(tmp_path / "mentions.parquet")
+    pq.write_table(sm, path, row_group_size=50)
+    chunked = pq.read_table(path)
+    assert chunked.column("mentions").num_chunks > 2
+    rows = sm.to_pylist()
+    for i, r in enumerate(rows[:60]):
+        r["mentions"] = None if i % 3 == 0 else [] if i % 3 == 1 else r["mentions"][:1]
+    holes = pa.Table.from_pylist(rows, schema=SENTENCE_MENTIONS)
+    with_triples = [i for i, r in enumerate(rows) if _triples_reference(sm.slice(i, 1)).num_rows]
+    sliced = sm.slice(with_triples[3], with_triples[-3] - with_triples[3])
+    assert sliced.column("mentions").chunk(0).offsets[0].as_py() > 0
+
+    cases = {
+        "sliced": sliced,
+        "chunked": chunked,
+        "holes": holes,
+        "empty": sm.slice(0, 0),
+        "schema_only": SENTENCE_MENTIONS.empty_table(),
+    }
+    for name, batch in cases.items():
+        got = triples_batch(batch)
+        want = _triples_reference(batch)
+        assert got.schema == TRIPLES, name
+        assert got.equals(want), name
+        assert (got.num_rows > 100) == (name not in ("empty", "schema_only")), name
+        graph._LINK_CACHE.clear()
+        assert graph.link_triples_batch(got).equals(_link_reference(want)), name
+    assert graph.link_triples_batch(TRIPLES.empty_table()).schema == graph.LINKED_TRIPLES
+
+    triples = triples_batch(sm)
+    no_type = pc.if_else(
+        pa.array(np.arange(triples.num_rows) % 2 == 0),
+        triples.column("obj_type"),
+        pa.scalar(None, pa.string()),
+    )
+    triples = triples.set_column(triples.schema.get_field_index("obj_type"), "obj_type", no_type)
+    triples = pa.concat_tables([triples.slice(0, 500), triples.slice(500)])
+    graph._LINK_CACHE.clear()
+    linked = graph.link_triples_batch(triples)
+    assert linked.equals(_link_reference(triples))
+    assert linked.column("obj_type").null_count > 0
+    assert pc.count_distinct(linked.column("obj_id")).as_py() < triples.num_rows
+
+
+# every type the detectors emit: the tagger's, the regex battery's, the
+# gazetteer's RELIGION and the date detector's TIME/T_OPENING
+_MENTION_TYPES = sorted(
+    set(SHORT_TO_TYPE.values()) | set(REGEX_PATTERNS) | set(PII_PREDICATES)
+    | {"RELIGION", "TIME", "T_OPENING"}
+)
+_CUES = [*_BORN_CUES, "lavora presso", "signed by", "betaling aan"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_CUES) | st.text(max_size=8), max_size=6),
+    st.booleans(),
+    st.text(min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=80),
+    st.floats(min_value=0, max_value=1),
+)
+def test_extract_triples_needs_two_mentions(parts, upper, value, offset, confidence):
+    """``triples_batch`` skips sentences with fewer than two mentions
+    before running the rules. That is exact only while no rule can fire
+    on a single mention: of any type the detectors emit, in a sentence
+    with any cue phrases, and in one with all of them."""
+    sentence = " ".join(parts)
+    for text in (sentence, " ".join([sentence, *_CUES])):
+        text = text.upper() if upper else text
+        assert extract_triples(text, []) == []
+        for mtype in _MENTION_TYPES:
+            mention = {"type": mtype, "value": value, "offset": offset, "confidence": confidence}
+            assert extract_triples(text, [mention]) == [], mtype
 
 
 def test_mention_value_matches_sentence_surface():

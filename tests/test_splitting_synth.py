@@ -1,8 +1,9 @@
 """Splitter invariants + synthetic corpus determinism."""
 
+import re
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transner_ray import synth
@@ -59,6 +60,48 @@ def test_window_words_cover_and_offsets():
     # consecutive windows overlap by `overlap` words
     w0, w1 = wins[0][0].split(), wins[1][0].split()
     assert w0[-32:] == w1[:32]
+
+
+def _window_words_unguarded(sentence, max_words, overlap):
+    """``window_words`` without its short-sentence guard: the word scan
+    runs on every sentence."""
+    spans = [m.span() for m in re.finditer(r"\S+", sentence)]
+    if len(spans) <= max_words:
+        return [(sentence, 0)]
+    out, i = [], 0
+    while True:
+        j = min(i + max_words, len(spans))
+        out.append((sentence[spans[i][0] : spans[j - 1][1]], spans[i][0]))
+        if j >= len(spans):
+            return out
+        i += max_words - overlap
+
+
+_WHITESPACE = " \t\n\x0b\x1c\u00a0\u2003"
+
+
+@st.composite
+def _spaced_words(draw):
+    """Short words between runs of mixed whitespace, often just at the
+    guard's length bound (one char per word, one per gap)."""
+    words = draw(st.lists(st.text(alphabet="ab.", min_size=1, max_size=2), max_size=14))
+    gaps = [draw(st.text(alphabet=_WHITESPACE, min_size=1, max_size=2)) for _ in words[1:]]
+    edges = st.text(alphabet=_WHITESPACE, max_size=1)
+    body = "".join(w + g for w, g in zip(words, gaps + [""]))
+    return draw(edges) + body + draw(edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spaced_words(), st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=5))
+@example("a b", 1, 0)  # 2 words in 2 * max_words + 1 chars: the tightest miss
+@example("ab\u2003\tb a", 2, 1)
+def test_window_words_guard_agrees_with_word_scan(sentence, max_words, overlap):
+    """The length guard is only a shortcut: with short windows and runs
+    of mixed whitespace, guarded and unguarded windows are equal."""
+    overlap %= max_words
+    assert window_words(sentence, max_words, overlap) == _window_words_unguarded(
+        sentence, max_words, overlap
+    )
 
 
 # ----------------------------------------------------------------- html

@@ -13,8 +13,8 @@ Two-tier resolution per mention/endpoint surface:
    corporation``); below threshold the surface keeps its own identity.
 
 Scale shape: the registry matrix is ``ray.put`` once and read per
-worker; per-batch work is one numpy matmul over the batch's UNKNOWN
-surfaces (deduplicated), not per-row Python.
+worker; per batch, ``link_one`` runs once per distinct ``(surface,
+type)`` (``stages.graph.link_endpoints``), not once per row.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class EmbeddingLinker:
         if len(self._cache) < 1_000_000:
             self._cache[key] = eid
         return eid
-
-    def link_batch(self, surfaces: list[str], types: list[str | None]) -> list[str]:
-        return [self.link_one(s, t) for s, t in zip(surfaces, types)]
 
 
 def alias_table_dataset():
@@ -213,6 +210,7 @@ def make_embedding_link_batch(linker_ref=None, cos_threshold: float = DEFAULT_CO
 
     def link_batch(batch: pa.Table) -> pa.Table:
         from .stages.detect import _WORKER_CACHE
+        from .stages.graph import link_endpoints
 
         linker = _WORKER_CACHE.get(cache_key)
         if linker is None:
@@ -220,13 +218,6 @@ def make_embedding_link_batch(linker_ref=None, cos_threshold: float = DEFAULT_CO
                 ray.get(linker_ref) if linker_ref is not None else EmbeddingLinker(cos_threshold)
             )
             _WORKER_CACHE[cache_key] = linker
-        subj_ids = linker.link_batch(
-            batch.column("subj").to_pylist(), batch.column("subj_type").to_pylist()
-        )
-        obj_ids = linker.link_batch(
-            batch.column("obj").to_pylist(), batch.column("obj_type").to_pylist()
-        )
-        out = batch.append_column("subj_id", pa.array(subj_ids, pa.string()))
-        return out.append_column("obj_id", pa.array(obj_ids, pa.string()))
+        return link_endpoints(batch, linker.link_one)
 
     return link_batch

@@ -63,6 +63,11 @@ def window_words(
     Stride is ``max_words - overlap`` words; the final window always
     reaches the last word.
     """
+    # more than max_words words need at least 2 * max_words + 1 chars
+    # (a char per word plus one separator between words): shorter
+    # sentences skip the word scan
+    if len(sentence) <= 2 * max_words:
+        return [(sentence, 0)]
     spans = [m.span() for m in _WORD_RE.finditer(sentence)]
     n = len(spans)
     if n <= max_words:

@@ -1,9 +1,12 @@
 """Ray Data stages of the KG pipeline (SURVEY.md §3.4).
 
 Each stage is a ``map_batches``-compatible callable with declared
-input/output schemas; stateless stages are plain functions (Ray tasks),
-the mention detector is a callable CLASS (actor pool: tagger + gazetteer
-state built once per actor in ``__init__``).
+input/output schemas. Every stage runs as plain Ray tasks by default,
+mention detection included (``detect.make_detect_fn``: tagger +
+gazetteer state cached once per worker process), so Ray fuses the
+narrow spine into one operator. The ``MentionDetector`` callable class
+is the actor-pool shape, used for model taggers (BERT) or when asked
+for with ``use_actor_pool=True``.
 """
 
 from .extract import extract_text_batch

@@ -2,7 +2,9 @@
 
 * ``link_triples_batch``: stateless map; alias table is tiny (SURVEY.md
   §2.4 J-new) and captured in the task closure — a broadcast semi-join,
-  never a shuffle join.
+  never a shuffle join. ``link_endpoints`` links each distinct
+  ``(surface, type)`` of a batch once and gathers the ids back with
+  ``take``; the embedding linker goes through it too.
 * canonicalization + edge weighting share ONE shuffle. A per-batch
   combiner (``graph_partials_batch``) first collapses each block to its
   distinct keys — the Zipf-head entity contributes ≤1 row per block
@@ -55,18 +57,29 @@ def _link_cached(surface: str, mtype: str | None) -> str:
     return eid
 
 
+def link_endpoints(batch: pa.Table, link) -> pa.Table:
+    """``batch`` plus ``subj_id``/``obj_id`` from ``link(surface, type)``,
+    called once per distinct ``(surface, type)`` of each endpoint column
+    and gathered back with ``take``: surfaces are Zipfian, so a batch
+    holds few distinct endpoints. A null type is linked as ``None``."""
+
+    def ids(surface: str, mtype: str) -> pa.Array:
+        s = pc.dictionary_encode(batch.column(surface).combine_chunks())
+        t = pc.dictionary_encode(batch.column(mtype).combine_chunks(), null_encoding="encode")
+        n_types = max(len(t.dictionary), 1)
+        pair = s.indices.to_numpy().astype(np.int64) * n_types + t.indices.to_numpy()
+        distinct, inverse = np.unique(pair, return_inverse=True)
+        surfaces = s.dictionary.take(distinct // n_types).to_pylist()
+        types = t.dictionary.take(distinct % n_types).to_pylist()
+        linked = pa.array([link(x, y) for x, y in zip(surfaces, types)], pa.string())
+        return linked.take(inverse)
+
+    out = batch.append_column("subj_id", ids("subj", "subj_type"))
+    return out.append_column("obj_id", ids("obj", "obj_type"))
+
+
 def link_triples_batch(batch: pa.Table) -> pa.Table:
-    subj_ids = [
-        _link_cached(s, t)
-        for s, t in zip(batch.column("subj").to_pylist(), batch.column("subj_type").to_pylist())
-    ]
-    obj_ids = [
-        _link_cached(o, t)
-        for o, t in zip(batch.column("obj").to_pylist(), batch.column("obj_type").to_pylist())
-    ]
-    out = batch.append_column("subj_id", pa.array(subj_ids, pa.string()))
-    out = out.append_column("obj_id", pa.array(obj_ids, pa.string()))
-    return out
+    return link_endpoints(batch, _link_cached)
 
 
 # ------------------------------------------------------- wide-phase schemas
