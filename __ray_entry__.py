@@ -159,27 +159,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ["url", "offset", "value"]
         )
 
-    def kg_regex_mentions(sf_dir: str):
-        """Mention rows of the REAL regex-PII battery, made
-        SQL-checkable: page text is a deterministic single-sentence
-        carrier derived from doc_id alone ('Document number NNNNNNNNN
-        filed', synth.pii_pages_from_documents), so the full extract →
-        split → detect path must emit exactly one
-        NL_CITIZEN_SERVICE_NUMBER mention per page at offset 16 with
-        the 9-digit zero-padded id as value (reference pattern
-        ner.py:57; boundary-strip ner.py:227-231)."""
+    def _regex_mention_rows(men):
+        """kg_regex_mentions' projection: the NL_CITIZEN_SERVICE_NUMBER
+        regex mentions of MENTIONS rows as (url, value, offset)."""
         import pyarrow as pa
         import pyarrow.compute as pc
-
-        import ray.data as rd
-
-        from transner_ray.pipelines import kg
-        from transner_ray.synth import pii_pages_from_documents
-
-        pages = rd.from_arrow(pii_pages_from_documents(sf_dir)).drop_columns(
-            ["warc_ts", "text"]
-        )
-        men = kg.mentions_dataset(kg.sentences_dataset(pages))
 
         def project(t: pa.Table) -> pa.Table:
             mask = pc.and_(
@@ -192,6 +176,25 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return men.map_batches(project, batch_format="pyarrow").sort(
             ["url", "offset", "value"]
         )
+
+    def kg_regex_mentions(sf_dir: str):
+        """Mention rows of the REAL regex-PII battery, made
+        SQL-checkable: page text is a deterministic single-sentence
+        carrier derived from doc_id alone ('Document number NNNNNNNNN
+        filed', synth.pii_pages_from_documents), so the full extract →
+        split → detect path must emit exactly one
+        NL_CITIZEN_SERVICE_NUMBER mention per page at offset 16 with
+        the 9-digit zero-padded id as value (reference pattern
+        ner.py:57; boundary-strip ner.py:227-231)."""
+        import ray.data as rd
+
+        from transner_ray.pipelines import kg
+        from transner_ray.synth import pii_pages_from_documents
+
+        pages = rd.from_arrow(pii_pages_from_documents(sf_dir)).drop_columns(
+            ["warc_ts", "text"]
+        )
+        return _regex_mention_rows(kg.mentions_dataset(kg.sentences_dataset(pages)))
 
     def _born_spine(sf_dir: str):
         """extract → split → detect → triples over the born-in carrier
@@ -319,25 +322,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             batch_format="pyarrow",
         ).sort(["subj_id", "obj_id"])
 
-    def kg_partitioned_born_edges(sf_dir: str):
-        """THE resumable job (kg.run_partitioned: per-partition lineage
-        manifests -> phase-2 reduce -> atomic rename) under the
-        driver's SQL gate, over the born carrier corpus written as
-        real parquet shards. Repeat gate invocations RESUME from the
-        manifests (phase 1 skips, phase 2 re-reduces) and must keep
-        producing the oracle rows — the gate thereby also checks
-        resume determinism across rounds. Shards regenerate whenever
-        documents.parquet is newer (stale-cache guard); the input
-        fingerprints then invalidate the manifests and the job
-        re-runs."""
-        import pyarrow as pa
+    def _carrier_shards(sf_dir: str, cache_root: str, build):
+        """``build(sf_dir)``'s pages as four parquet files in a
+        /tmp cache dir keyed by documents.parquet, rewritten whenever
+        its fingerprint changes. Returns (cache dir, shard paths)."""
         import pyarrow.parquet as pq
-
-        import ray.data as rd
-
-        from transner_ray.gazetteers import Gazetteers
-        from transner_ray.pipelines import kg
-        from transner_ray.synth import BORN_CITIES, BORN_PERSONS, born_pages_from_documents
 
         from transner_ray.ops.io import (
             cache_dir_for,
@@ -347,7 +336,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         src = f"{sf_dir}/documents.parquet"
-        base = cache_dir_for("/tmp/transner_ray_born", src)
+        base = cache_dir_for(cache_root, src)
         pages_dir = os.path.join(base, "pages")
         os.makedirs(pages_dir, exist_ok=True)
         n_shards = 4
@@ -360,12 +349,33 @@ def queries() -> dict[str, Callable[[str], Any]]:
             not os.path.exists(p) for p in paths
         )
         if stale:
-            tbl = born_pages_from_documents(sf_dir)
+            tbl = build(sf_dir)
             per = (tbl.num_rows + n_shards - 1) // n_shards
             for i, p in enumerate(paths):
                 pq.write_table(tbl.slice(i * per, per), p)
             write_cache_marker(marker, fp)
+        return base, paths
 
+    def kg_partitioned_born_edges(sf_dir: str):
+        """THE resumable job (kg.run_partitioned: per-partition lineage
+        manifests -> phase-2 reduce -> atomic rename) under the
+        SQL correctness gate, over the born carrier corpus written as
+        real parquet shards. Repeat gate invocations RESUME from the
+        manifests (phase 1 skips, phase 2 re-reduces) and must keep
+        producing the oracle rows — the gate thereby also checks
+        resume determinism across rounds. Shards regenerate whenever
+        documents.parquet is newer (stale-cache guard); the input
+        fingerprints then invalidate the manifests and the job
+        re-runs."""
+        import pyarrow as pa
+
+        import ray.data as rd
+
+        from transner_ray.gazetteers import Gazetteers
+        from transner_ray.pipelines import kg
+        from transner_ray.synth import BORN_CITIES, BORN_PERSONS, born_pages_from_documents
+
+        base, paths = _carrier_shards(sf_dir, "/tmp/transner_ray_born", born_pages_from_documents)
         phrases = {(p,): "PER" for p in BORN_PERSONS}
         phrases.update({(c,): "LOC" for c in BORN_CITIES})
         gz = Gazetteers(
@@ -374,7 +384,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         res = kg.run_partitioned(
             paths,
             os.path.join(base, "ckpt"),
-            num_partitions=n_shards,
+            num_partitions=len(paths),
             write_mentions=False,
             gazetteers=gz,
         )
@@ -390,6 +400,25 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ),
             batch_format="pyarrow",
         ).sort(["subj_id", "obj_id"])
+
+    def kg_partitioned_regex_mentions(sf_dir: str):
+        """The MENTIONS that the resumable job writes (kg.run_partitioned
+        with write_mentions=True, one partition per shard) under
+        kg_regex_mentions' SQL gate, over the PII carrier written as
+        parquet shards: read back from ``mentions/part=*`` and
+        projected like kg_regex_mentions. Repeat invocations resume
+        from the manifests, as in kg_partitioned_born_edges."""
+        import ray.data as rd
+
+        from transner_ray.pipelines import kg
+        from transner_ray.state.checkpoint import CheckpointStore
+        from transner_ray.synth import pii_pages_from_documents
+
+        base, paths = _carrier_shards(sf_dir, "/tmp/transner_ray_pii", pii_pages_from_documents)
+        ckpt = os.path.join(base, "ckpt")
+        kg.run_partitioned(paths, ckpt, num_partitions=len(paths), write_mentions=True)
+        files = CheckpointStore(ckpt).completed_stage_files("mentions")
+        return _regex_mention_rows(rd.read_parquet(files))
 
     def kg_born_entities(sf_dir: str):
         """The canonicalization reduce (kg.entities_dataset: combiner
@@ -516,6 +545,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # entity_pagerank (r04-green, machinery gated by in-window kin).
     # Late-r5: in = token_counts_bpe (new); out = ann_ivf (driver-green
     # r01-r04; IVF machinery still gated by ann_ivf_index/ann_filtered).
+    # Then: in = kg_partitioned_regex_mentions (new); out = frame_sample
+    # (green in CORRECTNESS_r01-r05; media_metadata/media_features stay in).
     return {
         # ---- KG pipeline stages (the north-star; documents-derived
         # variants are SQL-checked, synthetic-pages spine rows-only) ----
@@ -530,6 +561,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_born_edges_emblink": kg_born_edges_emblink,
         "kg_born_edges_joinlink": kg_born_edges_joinlink,
         "kg_partitioned_born_edges": kg_partitioned_born_edges,
+        "kg_partitioned_regex_mentions": kg_partitioned_regex_mentions,
         "kg_born_entities": kg_born_entities,
         # PageRank's quantized loop SQL-gated over the born graph
         # (unrolled-iteration oracle, bit-exact integer stream);
@@ -582,10 +614,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ---- multimodal plumbing (all SQL-checked) ----
         "media_metadata": multimodal.media_metadata,
         # feature-extract stage (vectorized numpy byte stats — the
-        # embedding-model compute shape) and video frame sampling
-        # (every 4th frame of the fake container as its own row)
+        # embedding-model compute shape)
         "media_features": multimodal.media_features,
-        "frame_sample": multimodal.frame_sample,
         # ---- dedup suite ----
         "exact_dedup": dedup.exact_dedup,                 # SQL-checked
         # (minhash_dedup / simhash_dedup / ngram_jaccard_dedup /
@@ -647,6 +677,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # Rotated past-window in r5 (driver-green r01-r04) to make room
         # for token_counts_bpe; in-window kin: ann_ivf_index, ann_filtered
         "ann_ivf": lambda sf: similarity.ivf_topk(sf, nprobe=16),  # SQL-checked
+        # video frame sampling (every 4th frame of the fake container as
+        # its own row; SQL-checked). Rotated past-window to make room
+        # for kg_partitioned_regex_mentions; in-window kin: media_metadata,
+        # media_features
+        "frame_sample": multimodal.frame_sample,
         "kg_mentions": lambda sf: kg.mentions_dataset(_kg_spine(sf)),
         "kg_triples": _kg_linked,
         "kg_sentences": _kg_sentences_only,
@@ -734,6 +769,14 @@ _BORN_EDGES_SQL = f"""
     )
     GROUP BY 1, 2, 3
     ORDER BY subj_id, obj_id
+"""
+
+_REGEX_MENTIONS_SQL = """
+    SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
+           lpad(CAST(doc_id % 1000000000 AS VARCHAR), 9, '0') AS value,
+           CAST(16 AS BIGINT) AS "offset"
+    FROM documents
+    ORDER BY url, "offset", value
 """
 
 
@@ -874,13 +917,7 @@ def oracle_sql() -> dict[str, str]:
             WHERE w IN {_KG_GAZ_WORDS!r}
             ORDER BY url, "offset", value
         """,
-        "kg_regex_mentions": """
-            SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
-                   lpad(CAST(doc_id % 1000000000 AS VARCHAR), 9, '0') AS value,
-                   CAST(16 AS BIGINT) AS "offset"
-            FROM documents
-            ORDER BY url, "offset", value
-        """,
+        "kg_regex_mentions": _REGEX_MENTIONS_SQL,
         "kg_born_triples": f"""
             SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
                    {_born_person_sql()} AS subj,
@@ -894,6 +931,7 @@ def oracle_sql() -> dict[str, str]:
         "kg_born_edges_joinlink": _BORN_EDGES_SQL,
         "born_entity_pagerank": _born_pagerank_sql(),
         "kg_partitioned_born_edges": _BORN_EDGES_SQL,
+        "kg_partitioned_regex_mentions": _REGEX_MENTIONS_SQL,
         "kg_born_entities": f"""
             WITH m AS (
               SELECT {_born_person_sql()} AS p, {_born_city_sql()} AS c FROM documents

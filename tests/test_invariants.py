@@ -340,7 +340,8 @@ def test_driver_window_covers_flagship_gates():
     window = keys[:50]
 
     flagship = {
-        "kg_born_edges", "kg_partitioned_born_edges", "kg_born_entities",
+        "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
+        "kg_born_entities",
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
         "kg_split_docs_jsonl", "kg_born_edges_joinlink", "inverted_index",
         "tfidf_top_terms", "bm25_topk", "token_count_quantiles",

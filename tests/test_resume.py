@@ -236,3 +236,182 @@ def test_partitioned_edges_sorted_on_disk(tmp_path, monkeypatch):
     subj = [s for f in files for s in pq.read_table(f, columns=["subj_id"])["subj_id"].to_pylist()]
     assert len(files) > 1 and len(subj) == res["edges"]
     assert subj == sorted(subj)
+
+
+# ---- one Ray Data execution per partition ---------------------------------
+
+
+def _rows(t, names):
+    """Rows of an Arrow table or a list of dicts as sorted tuples."""
+    rows = t.to_pylist() if hasattr(t, "to_pylist") else t
+    return sorted(tuple(r[n] for n in names) for r in rows)
+
+
+def _committed(ckpt, stage):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from transner_ray.state.checkpoint import CheckpointStore
+
+    files = CheckpointStore(ckpt).completed_stage_files(stage)
+    return pa.concat_tables([pq.read_table(f) for f in files])
+
+
+@pytest.mark.parametrize("write_mentions", [True, False])
+def test_narrow_phase_one_execution_per_partition(workdir, monkeypatch, write_mentions):
+    """Each partition's outputs come from ONE Ray Data execution: no
+    sentence-mentions checkpoint, no re-read, no second write."""
+    calls, before_wide = [], []
+    materialize, write_graph = rd.Dataset.materialize, kg.write_graph
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    def wide(linked, out_dir):
+        before_wide.append(len(calls))
+        return write_graph(linked, out_dir)
+
+    monkeypatch.setattr(rd.Dataset, "materialize", counted)
+    monkeypatch.setattr(kg, "write_graph", wide)
+    res = kg.run_partitioned(
+        workdir["paths"], workdir["ckpt"], num_partitions=3, write_mentions=write_mentions
+    )
+    assert res["ran"] == [0, 1, 2]
+    assert before_wide == [3]
+    stages = {"triples", "mentions"} if write_mentions else {"triples"}
+    assert {d for d in os.listdir(workdir["ckpt"]) if d not in ("manifest", "out")} == stages
+
+
+def test_partition_outputs_equal_kernels_and_oracle(workdir, oracle_small):
+    """The committed mentions and triples are the stage kernels' output
+    over the spine collected into this process, and the mentions are
+    the oracle's."""
+    import pyarrow as pa
+
+    import ray
+
+    from transner_ray.schemas import MENTIONS
+    from transner_ray.stages.detect import explode_mentions_batch
+    from transner_ray.stages.graph import LINKED_TRIPLES, link_triples_batch
+    from transner_ray.stages.triples import triples_batch
+
+    kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    mentions = _committed(workdir["ckpt"], "mentions")
+    triples = _committed(workdir["ckpt"], "triples")
+    assert mentions.schema.equals(MENTIONS) and triples.schema.equals(LINKED_TRIPLES)
+
+    sm = kg.sentences_dataset(kg.read_pages(workdir["paths"]))
+    sm = pa.concat_tables(ray.get(sm.to_arrow_refs()))
+    assert _rows(mentions, MENTIONS.names) == _rows(explode_mentions_batch(sm), MENTIONS.names)
+    want = link_triples_batch(triples_batch(sm))
+    assert _rows(triples, LINKED_TRIPLES.names) == _rows(want, LINKED_TRIPLES.names)
+    assert _rows(mentions, MENTIONS.names) == _rows(oracle_small["mentions"], MENTIONS.names)
+
+
+def test_sink_retried_write_overwrites_its_file(tmp_path, pages_small):
+    """A write task retried under the same task index rewrites its own
+    file per output instead of adding a second one."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.interfaces import TaskContext
+
+    from transner_ray.stages.detect import make_detect_fn
+    from transner_ray.stages.extract import extract_text_batch
+    from transner_ray.stages.graph import untagged
+    from transner_ray.stages.split import split_sentences_batch
+
+    pages = pa.concat_tables([pq.read_table(p, columns=kg.PAGES_COLUMNS) for p in pages_small])
+    sm = make_detect_fn()(split_sentences_batch(extract_text_batch(pages)))
+    rows = kg.partition_rows_batch(sm, write_mentions=True)
+    dirs = [str(tmp_path / stage) for stage in kg.PARTITION_OUTPUTS]
+    sink = kg.PartitionSink(dirs)
+    sink.on_write_start()
+    ctx = TaskContext(task_idx=7, op_name="Write")
+    for _ in range(2):
+        sink.write([rows.slice(0, 500), rows.slice(500)], ctx)
+    for kind, (d, schema) in enumerate(zip(dirs, kg.PARTITION_OUTPUTS.values())):
+        files = os.listdir(d)
+        assert files == [f"{sink.uuid}_000007.parquet"]
+        want = untagged(rows, kind, schema)
+        assert want.num_rows > 0
+        assert pq.read_table(os.path.join(d, files[0])).equals(want)
+
+
+def test_partitions_without_sentences_or_triples_commit(tmp_path):
+    """A partition with no sentences, and one whose sentences yield
+    mentions but no triple, still commit their stage dirs with 0-row
+    manifests, and the wide phase over all three equals the oracle."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from transner_ray import synth
+    from transner_ray.oracle import run_oracle
+    from transner_ray.schemas import PAGES
+
+    pages_dir = tmp_path / "pages"
+    (full,) = synth.write_pages(str(pages_dir), seed=42, n_docs=20, num_shards=1)
+    empty = str(pages_dir / "pages-0001.parquet")
+    pq.write_table(PAGES.empty_table(), empty)
+    url = "https://docs.example/00000001"
+    no_triples = str(pages_dir / "pages-0002.parquet")
+    text = "Document number 123456789 filed. Nothing here at all."
+    pq.write_table(
+        pa.Table.from_pylist(
+            [{"url": url, "warc_ts": 0, "html": synth.wrap_html(url, text), "text": text, "lang": "en"}],
+            schema=PAGES,
+        ),
+        no_triples,
+    )
+    paths = [full, empty, no_triples]
+    ckpt = str(tmp_path / "ckpt")
+    res = kg.run_partitioned(paths, ckpt, num_partitions=3)
+    assert res["ran"] == [0, 1, 2]
+    rows = [json.load(open(os.path.join(ckpt, "manifest", f"part-{p:04d}.json")))["rows"] for p in range(3)]
+    assert rows[1] == {"mentions": 0, "triples": 0}
+    assert rows[2]["triples"] == 0 and rows[2]["mentions"] > 0
+    for stage in ("mentions", "triples"):
+        for pid in (1, 2):
+            assert os.path.isdir(os.path.join(ckpt, stage, f"part={pid:04d}"))
+
+    oracle = run_oracle([r for p in paths for r in pq.read_table(p).to_pylist()])
+    edges = _edges(res["out_dir"])
+    assert _rows(edges.to_dict("records"), ["subj_id", "pred", "obj_id", "weight"]) == _rows(
+        oracle["edges"], ["subj_id", "pred", "obj_id", "weight"]
+    )
+    assert res["entities"] == len(oracle["entities"])
+
+
+def test_kill_between_sink_write_and_commit(workdir, oracle_small, monkeypatch):
+    """A kill after the sink has filled partition 1's tmp dirs but before
+    they are committed: the rerun gives the oracle's rows, none twice."""
+    from transner_ray.schemas import MENTIONS, TRIPLES
+    from transner_ray.state.checkpoint import CheckpointStore
+
+    class Killed(Exception):
+        pass
+
+    commit = CheckpointStore.commit_stage_dir
+
+    def killed_at_part_1(self, stage, partition):
+        if partition == 1:
+            raise Killed
+        commit(self, stage, partition)
+
+    monkeypatch.setattr(CheckpointStore, "commit_stage_dir", killed_at_part_1)
+    with pytest.raises(Killed):
+        kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    monkeypatch.undo()
+    store = CheckpointStore(workdir["ckpt"])
+    assert not store.is_complete(1)
+    for stage in kg.PARTITION_OUTPUTS:
+        assert os.listdir(store.tmp_stage_dir(stage, 1))
+
+    res = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    assert res["ran"] == [1, 2] and res["skipped"] == [0]
+    mentions = _committed(workdir["ckpt"], "mentions")
+    triples = _committed(workdir["ckpt"], "triples")
+    assert _rows(mentions, MENTIONS.names) == _rows(oracle_small["mentions"], MENTIONS.names)
+    assert _rows(triples, TRIPLES.names) == _rows(oracle_small["triples"], TRIPLES.names)
+    want = _rows(oracle_small["edges"], ["subj_id", "pred", "obj_id", "weight"])
+    assert _rows(_edges(res["out_dir"]).to_dict("records"), ["subj_id", "pred", "obj_id", "weight"]) == want

@@ -2,12 +2,14 @@
 (textops). Goldens come from the reference's documented I/O
 (README.md:10-70, api_doc:1-57, input_example.txt:28-44)."""
 
+import re
 import string
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transner_ray import textops
+from transner_ray import ner_core, textops
 from transner_ray.gazetteers import default_gazetteers
 
 
@@ -240,6 +242,67 @@ def test_regex_boundary_guard_no_substring_match():
     s = "tel 1234567890 fine"
     found = [e for e in textops.find_regex_entities(s) if e["type"] == "NL_CITIZEN_SERVICE_NUMBER"]
     assert found == []
+
+
+_REGEX_PIECES = st.sampled_from(
+    ["0", "7", "12345", ".", "..", "@", "[URL_", "3]", " ", ",", ":", "+39", "(", ")",
+     "ab", "IT", "DMRFNC", "x.y", "è"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(alphabet=string.printable + "è", max_size=60),
+                 st.lists(_REGEX_PIECES, max_size=20).map("".join)))
+@example(" ..........")
+@example("..........")
+@example("tel ........... fine")
+@example("vedi [URL_12] da 192.168.0.1.")
+@example("a@b.it ")
+@example("nessun numero qui")
+def test_regex_combined_guard_matches_unguarded(s):
+    """The one-search early return and the per-pattern guards change no
+    output: equal to running every pattern over every sentence, and the
+    combined guard is exactly the disjunction of the per-pattern ones."""
+    assert bool(textops._ANY_GUARD.search(s)) == any(g(s) for g in textops._GUARDS.values())
+    with mock.patch.object(textops, "_ANY_GUARD", re.compile("")), mock.patch.dict(
+        textops._GUARDS, {k: (lambda _: True) for k in textops._GUARDS}
+    ):
+        unguarded = textops.find_regex_entities(s)
+    assert textops.find_regex_entities(s) == unguarded
+
+
+class _ListTagger:
+    """Labels the i-th word with ``labels[i % len(labels)]``."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def tag(self, processed):
+        words = processed.split()
+        labels = [self.labels[i % len(self.labels)] for i in range(len(words))]
+        return list(zip(words, labels)), [0.9] * len(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=string.ascii_letters + " .,'è", max_size=60),
+    st.lists(st.sampled_from(["O", "O", "O", "B-PER", "I-PER", "B-LOC", "I-MISC"]),
+             min_size=1, max_size=6),
+)
+@example("Mario è nato a Roma, ieri.", ["O"])
+@example("Mario è nato a Roma, ieri.", ["B-PER", "I-PER", "O"])
+def test_all_o_skip_matches_bio_decode(s, labels):
+    """ner_sentence's model mentions equal bio_decode + offset adjust
+    on every labelling, all-"O" ones (which skip both) included."""
+    tagger = _ListTagger(labels)
+    proc, omap = textops.separate_punctuations(s, do_lower_case=True)
+    word_labels, scores = tagger.tag(proc)
+    want = textops.bio_decode(proc, word_labels, scores, ner_core.SERVICE_THRESHOLD)
+    textops.adjust_entities_offset(want, s, omap, adjust_case=True)
+    got = ner_core.ner_sentence(
+        s, tagger, default_gazetteers(), apply_regex=False, apply_gazetteers=False
+    )
+    assert got == [{**e, "detector": "model"} for e in want]
 
 
 # ------------------------------------------------------------- O9/O10

@@ -57,8 +57,13 @@ def ner_sentence(
     ``[{'type','value','offset','confidence','detector'}, ...]``."""
     proc, omap = textops.separate_punctuations(sentence, do_lower_case=True)
     word_labels, scores = tagger.tag(proc)
-    entities = textops.bio_decode(proc, word_labels, scores, threshold)
-    textops.adjust_entities_offset(entities, sentence, omap, adjust_case=True)
+    if all(label == "O" for _, label in word_labels):
+        # bio_decode opens a mention only at a B- or I- label, so an
+        # all-"O" tagging (about a third of sentences) decodes to none
+        entities = []
+    else:
+        entities = textops.bio_decode(proc, word_labels, scores, threshold)
+        textops.adjust_entities_offset(entities, sentence, omap, adjust_case=True)
     for e in entities:
         e["detector"] = "model"
     if apply_regex:

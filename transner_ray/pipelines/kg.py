@@ -20,9 +20,12 @@ Two run modes:
   queries, tests and single-pass benches.
 * ``run_partitioned(...)``: the resumable job — input files grouped
   into partitions, each processed to per-partition triples/mentions
-  parquet with a lineage manifest (state/checkpoint.py); the wide
-  phase (entities/edges) then runs over all partition outputs. A
-  killed run re-runs only partitions without manifests.
+  parquet with a lineage manifest (state/checkpoint.py) in ONE Ray
+  Data execution: the spine, one map that derives every output as
+  union-tagged rows, and a sink that routes them to their stage dirs
+  (``PartitionSink``). The wide phase (entities/edges) then runs over
+  all partition outputs. A killed run re-runs only partitions without
+  manifests.
 """
 
 from __future__ import annotations
@@ -30,21 +33,28 @@ from __future__ import annotations
 import glob
 import os
 import shutil
+import uuid
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from ..gazetteers import default_gazetteers
+from ..schemas import MENTIONS
 from ..stages.detect import MentionDetector, explode_mentions_batch
 from ..stages.extract import extract_text_batch
 from ..stages.graph import (
+    LINKED_TRIPLES,
     edge_rows,
     entity_rows,
     graph_partials_batch,
     link_triples_batch,
     reduce_graph_block,
+    tagged,
+    untagged,
 )
 from ..stages.split import split_sentences_batch
 from ..stages.triples import triples_batch
@@ -256,7 +266,8 @@ def kg_datasets(
     """Lazy composition of every stage output. NOTE: consuming more
     than one of these executes the shared narrow spine once per
     consumer — for multi-output runs use ``run_partitioned`` (which
-    checkpoints the spine) or consume just one."""
+    derives every output of a partition in one execution) or consume
+    just one."""
     sm = sentences_dataset(pages, detect_concurrency, detect_batch_size)
     linked = linked_triples_dataset(sm)
     return {
@@ -272,6 +283,64 @@ def kg_datasets(
 # resumable partitioned run
 # --------------------------------------------------------------------------
 
+# The stage outputs a partition writes, in tag order: partition_rows_batch
+# tags the rows of the i-th with kind=i.
+PARTITION_OUTPUTS = {"triples": LINKED_TRIPLES, "mentions": MENTIONS}
+
+
+def _union(schemas) -> pa.Schema:
+    """The ``kind`` tag plus every field of ``schemas``; a field shared
+    by several has one type in all of them."""
+    fields = {"kind": pa.field("kind", pa.int8())}
+    for schema in schemas:
+        for f in schema:
+            assert fields.setdefault(f.name, f).type == f.type, f.name
+    return pa.schema(list(fields.values()))
+
+
+PARTITION_ROWS = _union(PARTITION_OUTPUTS.values())
+
+
+def partition_rows_batch(batch: pa.Table, write_mentions: bool) -> pa.Table:
+    """Nested sentence-mention rows → every output of the partition as
+    tagged PARTITION_ROWS: the linked triples, and the exploded mentions
+    when ``write_mentions``. Fused after the spine, so one execution
+    derives all of them and nothing is re-read."""
+    outputs = [link_triples_batch(triples_batch(batch))]
+    if write_mentions:
+        outputs.append(explode_mentions_batch(batch))
+    return pa.concat_tables(
+        [tagged(kind, t, PARTITION_ROWS) for kind, t in enumerate(outputs)]
+    )
+
+
+class PartitionSink(rd.Datasink):
+    """Routes tagged PARTITION_ROWS to ``dirs`` (one per tag, in
+    PARTITION_OUTPUTS order): one parquet file per output and write
+    task, named by the sink's id and the task index, so a retried task
+    overwrites its own file. An output with no rows gets no file; its
+    dir is made up front, so an empty partition still commits."""
+
+    def __init__(self, dirs: list[str]):
+        self.dirs = dirs
+        self.uuid = uuid.uuid4().hex
+
+    def on_write_start(self) -> None:
+        for d in self.dirs:
+            os.makedirs(d, exist_ok=True)
+
+    def write(self, blocks, ctx) -> None:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        # an empty upstream block skips the map UDFs and keeps its own columns
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return
+        rows = pa.concat_tables(tables)
+        for kind, (d, schema) in enumerate(zip(self.dirs, PARTITION_OUTPUTS.values())):
+            out = untagged(rows, kind, schema)
+            if out.num_rows:
+                pq.write_table(out, os.path.join(d, f"{self.uuid}_{ctx.task_idx:06d}.parquet"))
+
 
 def run_partitioned(
     input_files: list[str],
@@ -286,7 +355,12 @@ def run_partitioned(
 ) -> dict:
     """Resumable KG job. Phase 1 (narrow, per partition): pages files →
     linked triples (+ flat mentions) parquet under ``ckpt_dir`` with a
-    lineage manifest per partition; already-complete partitions are
+    lineage manifest per partition. A partition is ONE Ray Data
+    execution: :func:`partition_rows_batch` fuses onto the spine and
+    emits both outputs as tagged rows, and :class:`PartitionSink`
+    writes each output's rows into its tmp stage dir; both dirs are
+    then committed and the manifest written last. The nested
+    sentence-mentions are never written. Already-complete partitions are
     SKIPPED — but only when the manifest's recorded ``input_files``
     equals the current plan for that partition; a changed file listing
     or ``num_partitions`` invalidates the partition and it re-runs.
@@ -320,7 +394,7 @@ def run_partitioned(
     for pid in store.completed_partitions():
         if pid >= len(parts):
             os.remove(store.manifest_path(pid))
-            for stage in ("triples", "mentions", "sm"):
+            for stage in PARTITION_OUTPUTS:
                 store.clean_incomplete(stage, pid)
     ran, skipped = [], []
     for pid, files in enumerate(parts):
@@ -359,10 +433,9 @@ def run_partitioned(
                 continue
             os.remove(store.manifest_path(pid))  # stale → re-run below
         t0 = timed()
-        # 'sm' included: a stale sm tmp dir from a killed run would be
-        # MERGED with the re-run's write (write_parquet filenames embed
-        # per-write UUIDs) and silently duplicate every sentence
-        for stage in ("triples", "mentions", "sm"):
+        # a stale tmp dir from a killed run would be MERGED with the
+        # re-run's files (named by a fresh sink id) and duplicate rows
+        for stage in PARTITION_OUTPUTS:
             store.clean_incomplete(stage, pid)
         if input_format == "jsonl":
             from ..sources.jsonl import read_extracted_jsonl
@@ -377,23 +450,15 @@ def run_partitioned(
             sm = sentences_dataset(
                 read_pages(files), detect_concurrency, detect_batch_size, gazetteers=gazetteers
             )
-        rows: dict[str, int] = {}
-        if write_mentions:
-            # two consumers of the spine within one partition: checkpoint
-            # the nested sentence-mentions once, then derive both outputs
-            sm_dir = store.tmp_stage_dir("sm", pid)
-            sm.write_parquet(sm_dir)
-            sm = rd.read_parquet(sm_dir)
-            mentions = mentions_dataset(sm)
-            mentions.write_parquet(store.tmp_stage_dir("mentions", pid))
-            rows["mentions"] = _parquet_rows(store.tmp_stage_dir("mentions", pid))
-            store.commit_stage_dir("mentions", pid)
-        linked = linked_triples_dataset(sm)
-        linked.write_parquet(store.tmp_stage_dir("triples", pid))
-        rows["triples"] = _parquet_rows(store.tmp_stage_dir("triples", pid))
-        store.commit_stage_dir("triples", pid)
-        if write_mentions:
-            shutil.rmtree(store.tmp_stage_dir("sm", pid), ignore_errors=True)
+        stages = [s for s in PARTITION_OUTPUTS if write_mentions or s != "mentions"]
+        sm.map_batches(
+            partition_rows_batch,
+            batch_format="pyarrow",
+            fn_kwargs={"write_mentions": write_mentions},
+        ).write_datasink(PartitionSink([store.tmp_stage_dir(s, pid) for s in stages]))
+        rows = {s: _parquet_rows(store.tmp_stage_dir(s, pid)) for s in stages}
+        for stage in stages:
+            store.commit_stage_dir(stage, pid)
         store.write_manifest(
             PartitionManifest(
                 partition=pid,

@@ -15,6 +15,8 @@
   reduces a whole block in one call of Arrow kernels and emits entities
   and edges together; ``entity_rows``/``edge_rows`` project them into
   the ENTITIES and EDGES tables. Nothing loops over rows in Python.
+  ``tagged``/``untagged`` also carry a partition's narrow outputs
+  through one write (``pipelines/kg.py::partition_rows_batch``).
 """
 
 from __future__ import annotations
@@ -136,10 +138,13 @@ GRAPH = pa.schema(
 )
 
 
-def _tagged(kind: int, t: pa.Table, schema: pa.Schema) -> pa.Table:
-    """``t`` (first column = the key) as ``schema`` rows of one kind."""
+def tagged(kind: int, t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``t`` as ``schema`` rows of one kind. A keyed ``schema`` takes
+    its ``key`` from ``t``'s first column; a column ``t`` lacks is null."""
     n = t.num_rows
-    cols = {"key": t.column(0), "kind": pa.array(np.full(n, kind, np.int8))}
+    cols = {"kind": pa.array(np.full(n, kind, np.int8))}
+    if "key" in schema.names:
+        cols["key"] = t.column(0)
     return pa.table(
         [
             cols[f.name] if f.name in cols
@@ -151,9 +156,11 @@ def _tagged(kind: int, t: pa.Table, schema: pa.Schema) -> pa.Table:
     )
 
 
-def _untagged(t: pa.Table, kind: int, schema: pa.Schema) -> pa.Table:
-    """Inverse of :func:`_tagged`: the ``kind`` rows of ``t`` as ``schema``."""
+def untagged(t: pa.Table, kind: int, schema: pa.Schema) -> pa.Table:
+    """Inverse of :func:`tagged`: the ``kind`` rows of ``t`` as ``schema``."""
     rows = t.filter(pc.equal(t.column("kind"), kind))
+    if "key" not in t.column_names:
+        return rows.select(schema.names)
     return rows.select(["key", *schema.names[1:]]).rename_columns(schema.names)
 
 
@@ -232,8 +239,8 @@ def graph_partials_batch(batch: pa.Table) -> pa.Table:
     """Linked triples → GRAPH_PARTIALS: both combiners' rows, tagged."""
     return pa.concat_tables(
         [
-            _tagged(ENTITY, entity_partials_batch(batch), GRAPH_PARTIALS),
-            _tagged(EDGE, edge_partials_batch(batch), GRAPH_PARTIALS),
+            tagged(ENTITY, entity_partials_batch(batch), GRAPH_PARTIALS),
+            tagged(EDGE, edge_partials_batch(batch), GRAPH_PARTIALS),
         ]
     )
 
@@ -295,18 +302,18 @@ def reduce_graph_block(block: pa.Table) -> pa.Table:
         return GRAPH.empty_table()
     return pa.concat_tables(
         [
-            _tagged(ENTITY, reduce_entities(_untagged(block, ENTITY, ENTITY_PARTIALS)), GRAPH),
-            _tagged(EDGE, reduce_edges(_untagged(block, EDGE, EDGE_PARTIALS)), GRAPH),
+            tagged(ENTITY, reduce_entities(untagged(block, ENTITY, ENTITY_PARTIALS)), GRAPH),
+            tagged(EDGE, reduce_edges(untagged(block, EDGE, EDGE_PARTIALS)), GRAPH),
         ]
     )
 
 
 def entity_rows(graph: pa.Table) -> pa.Table:
-    return _untagged(graph, ENTITY, ENTITIES)
+    return untagged(graph, ENTITY, ENTITIES)
 
 
 def edge_rows(graph: pa.Table) -> pa.Table:
-    return _untagged(graph, EDGE, EDGES)
+    return untagged(graph, EDGE, EDGES)
 
 
 # perfbench/kernels.py times the kernels through these names, handing

@@ -12,8 +12,12 @@ Layout under a checkpoint root:
 
     ckpt/
       triples/part=0007/*.parquet      (stage output, written to a tmp
-      mentions/part=0007/*.parquet      dir then atomically renamed)
+      mentions/part=0007/*.parquet      dir then atomically renamed;
+                                        mentions only if requested)
       manifest/part-0007.json          (written LAST → completion marker)
+
+Both stage dirs of a partition are filled by one Ray Data execution
+(``pipelines/kg.py::PartitionSink``); no intermediate stage is stored.
 
 Atomicity: parquet is written into ``<dir>.tmp`` and ``os.replace``d
 into place; the manifest is written only after every stage directory of

@@ -345,12 +345,17 @@ _GUARDS = {
     "IPV4_ADDRESS": lambda s: _HAS_DIGIT.search(s) is not None,
     "URI": lambda s: "[URL_" in s,
 }
+# The exact disjunction of every guard above, as one search: a digit,
+# '@', '[URL_', or a [.0-9]{10} run without a digit, i.e. ten dots.
+_ANY_GUARD = re.compile(r"[0-9@]|\[URL_|\.{10}")
 
 
 def find_regex_entities(sentence: str) -> list[dict]:
     """All regex-battery mentions of one ORIGINAL-case sentence, in the
     reference's pattern-then-position order (ner.py:219-235), including
     the single leading/trailing punctuation strip (ner.py:227-231)."""
+    if _ANY_GUARD.search(sentence) is None:
+        return []
     found: list[dict] = []
     for field, regex in REGEX_PATTERNS.items():
         if not _GUARDS[field](sentence):
