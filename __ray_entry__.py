@@ -294,34 +294,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             batch_format="pyarrow",
         ).sort(["subj_id", "obj_id"])
 
-    def kg_born_edges_joinlink(sf_dir: str):
-        """kg_born_edges through the SHUFFLE-JOIN linker
-        (linking.link_triples_via_join — SURVEY.md §2.4 J-new plan B,
-        the path a broadcast-too-big alias table forces): two
-        left-outer ``Dataset.join``s against the alias table on the
-        normalized surfaces, then the same edge reduce. Born surfaces
-        are alias-absent, so canon is null and each endpoint resolves
-        to its own normalized surface — identical to the broadcast
-        linker, sharing the born-edge SQL oracle."""
-        import pyarrow as pa
-
-        from transner_ray.linking import link_triples_via_join
-        from transner_ray.pipelines import kg
-
-        linked = link_triples_via_join(_born_spine(sf_dir), num_partitions=4)
-        edges = kg.edges_dataset(linked)
-        return edges.map_batches(
-            lambda t: pa.table(
-                {
-                    "subj_id": t["subj_id"],
-                    "pred": t["pred"],
-                    "obj_id": t["obj_id"],
-                    "weight": t["weight"],
-                }
-            ),
-            batch_format="pyarrow",
-        ).sort(["subj_id", "obj_id"])
-
     def _carrier_shards(sf_dir: str, cache_root: str, build):
         """``build(sf_dir)``'s pages as four parquet files in a
         /tmp cache dir keyed by documents.parquet, rewritten whenever
@@ -559,7 +531,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_born_triples": kg_born_triples,
         "kg_born_edges": kg_born_edges,
         "kg_born_edges_emblink": kg_born_edges_emblink,
-        "kg_born_edges_joinlink": kg_born_edges_joinlink,
         "kg_partitioned_born_edges": kg_partitioned_born_edges,
         "kg_partitioned_regex_mentions": kg_partitioned_regex_mentions,
         "kg_born_entities": kg_born_entities,
@@ -928,7 +899,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "kg_born_edges": _BORN_EDGES_SQL,
         "kg_born_edges_emblink": _BORN_EDGES_SQL,
-        "kg_born_edges_joinlink": _BORN_EDGES_SQL,
         "born_entity_pagerank": _born_pagerank_sql(),
         "kg_partitioned_born_edges": _BORN_EDGES_SQL,
         "kg_partitioned_regex_mentions": _REGEX_MENTIONS_SQL,

@@ -32,24 +32,6 @@ def test_unknown_namespace_passthrough():
     assert linker.link_one("x@y.com", "EMAIL_ADDRESS") == "email_address:x @ y . com"
 
 
-def test_join_linking_equals_broadcast(pages_small):
-    """Plan-B shuffle-join linking (Dataset.join on norm surface) must
-    produce exactly the broadcast alias-table result."""
-    from transner_ray.linking import link_triples_via_join
-    from transner_ray.stages.triples import triples_batch
-
-    sm = kg.sentences_dataset(kg.read_pages(pages_small))
-    triples = sm.map_batches(triples_batch, batch_format="pyarrow")
-    joined = link_triples_via_join(triples, num_partitions=4).to_pandas()
-    broadcast = kg.linked_triples_dataset(
-        kg.sentences_dataset(kg.read_pages(pages_small))
-    ).to_pandas()
-    key = lambda df: set(
-        zip(df["subj_id"], df["pred"], df["obj_id"], df["url"], df["sent_idx"])
-    )
-    assert key(joined) == key(broadcast)
-
-
 def test_embedding_mode_engine_equals_oracle(pages_small, oracle_small):
     from transner_ray.oracle import run_oracle
 

@@ -111,93 +111,6 @@ class EmbeddingLinker:
         return eid
 
 
-def alias_table_dataset():
-    """The alias table as a Dataset — input to the shuffle-join linking
-    fallback below."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    aliases = build_alias_table()
-    return rd.from_arrow(
-        pa.table(
-            {
-                "norm_surface": pa.array(list(aliases.keys()), pa.string()),
-                "canon": pa.array(list(aliases.values()), pa.string()),
-            }
-        )
-    )
-
-
-def link_triples_via_join(triples, alias_ds=None, num_partitions: int = 8):
-    """Shuffle hash-join linking fallback (SURVEY.md §2.4 J-new plan B):
-    when the alias table outgrows broadcast memory, resolve surfaces
-    with ``Dataset.join`` on the normalized surface instead of an
-    in-task dict. Same result as the broadcast path — asserted in
-    tests; plan A (broadcast) stays the default because alias tables
-    here are small.
-
-    Shape: normalize endpoints per batch (vectorized) → left-join
-    subj_norm and obj_norm against the alias table (two hash-partition
-    exchanges) → compose entity ids."""
-    import pyarrow as pa
-
-    import ray.data as rd  # noqa: F401
-
-    if alias_ds is None:
-        alias_ds = alias_table_dataset()
-
-    def add_norms(batch: pa.Table) -> pa.Table:
-        subj_norm = [norm_surface(s) for s in batch.column("subj").to_pylist()]
-        obj_norm = [norm_surface(o) for o in batch.column("obj").to_pylist()]
-        out = batch.append_column("subj_norm", pa.array(subj_norm, pa.string()))
-        return out.append_column("obj_norm", pa.array(obj_norm, pa.string()))
-
-    with_norms = triples.map_batches(add_norms, batch_format="pyarrow")
-    j1 = with_norms.join(
-        alias_ds,
-        join_type="left_outer",
-        num_partitions=num_partitions,
-        on=("subj_norm",),
-        right_on=("norm_surface",),
-        right_suffix="_subj_alias",
-    )
-    j2 = j1.join(
-        alias_ds,
-        join_type="left_outer",
-        num_partitions=num_partitions,
-        on=("obj_norm",),
-        right_on=("norm_surface",),
-        right_suffix="_obj_alias",
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        names = batch.schema.names
-        subj_canon_col = "canon" if "canon" in names else "canon_subj_alias"
-        obj_canon_col = "canon_obj_alias" if "canon_obj_alias" in names else "canon"
-        subj_ids, obj_ids = [], []
-        for st, sn, sc, ot, on_, oc in zip(
-            batch.column("subj_type").to_pylist(),
-            batch.column("subj_norm").to_pylist(),
-            batch.column(subj_canon_col).to_pylist(),
-            batch.column("obj_type").to_pylist(),
-            batch.column("obj_norm").to_pylist(),
-            batch.column(obj_canon_col).to_pylist(),
-        ):
-            ns_s = _TYPE_NAMESPACE.get(st or "", (st or "val").lower())
-            ns_o = _TYPE_NAMESPACE.get(ot or "", (ot or "val").lower())
-            subj_ids.append(f"{ns_s}:{sc if sc is not None else sn}")
-            obj_ids.append(f"{ns_o}:{oc if oc is not None else on_}")
-        keep = [
-            "subj", "pred", "obj", "subj_type", "obj_type", "confidence", "url", "sent_idx",
-        ]
-        out = batch.select([c for c in keep if c in names])
-        out = out.append_column("subj_id", pa.array(subj_ids, pa.string()))
-        return out.append_column("obj_id", pa.array(obj_ids, pa.string()))
-
-    return j2.map_batches(finish, batch_format="pyarrow")
-
-
 def make_embedding_link_batch(linker_ref=None, cos_threshold: float = DEFAULT_COS_THRESHOLD):
     """map_batches fn for TRIPLES → linked triples using the embedding
     linker; the linker is read from the broadcast ref (or built once
