@@ -90,7 +90,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         textstats,
         traindata,
     )
-    from transner_ray.ops import bpe as bpe_mod
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.ops import validate
     from transner_ray.pipelines import kg
@@ -638,7 +637,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # over the vocab-scale table; rows-only (iterative merges are
         # not SQL-expressible), exact-equality pytest oracle +
         # in-window SQL sibling vocab_topk
-        "bpe_merges": bpe_mod.bpe_train,
         # ---------- position >50: long-stable rows below this line get
         # their driver verification from CORRECTNESS_r01-r04; the local
         # gate still checks every one of them each session ----------

@@ -235,9 +235,7 @@ def bench_queries() -> dict:
     # best-of-reps then measures the warm anti-join, the steady-state
     # shape of the incremental-dedup loop
     out["dedup_incremental"] = _timed(dedup.dedup_incremental, SF_DIR)
-    from transner_ray.ops import bpe as bpe_mod
 
-    out["bpe_merges"] = _timed(bpe_mod.bpe_train, SF_DIR)
     return out
 
 

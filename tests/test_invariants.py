@@ -350,7 +350,7 @@ def test_driver_window_covers_flagship_gates():
         "media_metadata", "dedup_incremental", "doc_chain_components",
         "neardup_clusters", "prepare_training_data", "decontaminate",
         "epoch_shuffle", "vocab_topk", "sample_exact_k",
-        "chunk_documents", "bpe_merges", "pack_chunks",
+        "chunk_documents", "pack_chunks",
     }
     missing = flagship - set(window)
     assert not missing, f"flagship gates outside the driver window: {missing}"
@@ -358,6 +358,10 @@ def test_driver_window_covers_flagship_gates():
     siblings = {
         "kg_mentions": "kg_sentences_docs",
         "kg_triples": "kg_born_triples",
+        "kg_sentences": "kg_split_docs",
+        "kg_entities": "kg_born_entities",
+        "kg_edges": "kg_born_edges",
+        "kg_edges_emblink": "kg_born_edges_emblink",
         "approx_distinct_tokens": "distinct_terms",
         "approx_value_quantiles": "event_value_quantiles",
         "kmeans_embeddings": "ann_brute_force",
@@ -367,7 +371,6 @@ def test_driver_window_covers_flagship_gates():
         "embedding_neardup": "embedding_selfdup_pairs",
         "entity_pagerank": "born_entity_pagerank",
         "neardup_clusters": "doc_chain_components",
-        "bpe_merges": "vocab_topk",
     }
     for k in window:
         if k in sql:
