@@ -88,7 +88,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         similarity,
         sketches,
         textstats,
-        traindata,
     )
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.ops import validate
@@ -620,18 +619,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ---- training-data curation suite ----
         # flagship composite: train split → quality → dedup keeper →
         # decontaminate → pack, in one streaming pass + one reduce
-        "prepare_training_data": traindata.prepare_training_data,
         # ---- sequence packing (distributed prefix scan; SQL-checked) ----
         "pack_chunks": pack.pack_chunks,
         # round-5 rebuild (distributed eval-gram fold) — SQL-checked
-        "decontaminate": traindata.decontaminate,
-        "epoch_shuffle": traindata.epoch_shuffle,
-        "vocab_topk": traindata.vocab_topk,
         # exact-k uniform sample (distributed top-k by Knuth hash,
         # blocks × k short rows to the driver, zero shuffle)
-        "sample_exact_k": traindata.sample_exact_k,
         # sliding-window chunking (RAG-ingest shape; SQL-checked)
-        "chunk_documents": traindata.chunk_documents,
         # BPE tokenizer training: ONE distributed word-count pass
         # (vocab_topk machinery, SQL-gated above) + driver merge loop
         # over the vocab-scale table; rows-only (iterative merges are
@@ -679,8 +672,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exact in-window siblings are the SQL-gated definition
         "approx_value_quantiles": quantiles.approx_value_quantiles,
         "bigram_topk": indexing.bigram_topk,
-        "stratified_sample": traindata.stratified_sample,
-        "cap_per_group": traindata.cap_per_group,
         # ---- text analysis (SQL-checked) ----
         "token_counts": textstats.token_counts,
         "quality_signals": textstats.quality_signals,
@@ -779,7 +770,6 @@ def oracle_sql() -> dict[str, str]:
         similarity,
         sketches,
         textstats,
-        traindata,
         validate,
     )
 
@@ -834,15 +824,7 @@ def oracle_sql() -> dict[str, str]:
         "exact_dedup": dedup.EXACT_DEDUP_SQL,
         "doc_chain_components": cc.DOC_CHAIN_COMPONENTS_SQL,
         "pack_chunks": pack.PACK_CHUNKS_SQL,
-        "decontaminate": traindata.DECONTAMINATE_SQL,
-        "vocab_topk": traindata.VOCAB_TOPK_SQL,
-        "stratified_sample": traindata.stratified_sample_sql(),
-        "sample_exact_k": traindata.sample_exact_k_sql(),
-        "chunk_documents": traindata.chunk_documents_sql(),
         "ann_filtered": similarity.filtered_topk_sql(),
-        "cap_per_group": traindata.cap_per_group_sql(),
-        "prepare_training_data": traindata.prepare_training_data_sql(),
-        "epoch_shuffle": traindata.epoch_shuffle_sql(),
         "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
         "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,
         "distinct_terms": indexing.DISTINCT_TERMS_SQL,

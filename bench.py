@@ -165,7 +165,6 @@ def bench_queries() -> dict:
         similarity,
         sketches,
         textstats,
-        traindata,
     )
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.ops import validate
@@ -206,11 +205,6 @@ def bench_queries() -> dict:
     out["kmeans_embeddings"] = _timed(similarity.kmeans_embeddings, SF_DIR)
     out["entity_pagerank"] = _timed(pagerank_mod.entity_pagerank, SF_DIR)
     out["pack_chunks"] = _timed(pack.pack_chunks, SF_DIR)
-    out["decontaminate"] = _timed(traindata.decontaminate, SF_DIR)
-    out["vocab_topk"] = _timed(traindata.vocab_topk, SF_DIR)
-    out["stratified_sample"] = _timed(traindata.stratified_sample, SF_DIR)
-    out["prepare_training_data"] = _timed(traindata.prepare_training_data, SF_DIR)
-    out["epoch_shuffle"] = _timed(traindata.epoch_shuffle, SF_DIR)
     out["approx_distinct_tokens"] = _timed(sketches.approx_distinct_tokens, SF_DIR)
     out["asof_last_order"] = _timed(joins.last_order_before_event, SF_DIR)
     out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)
@@ -221,7 +215,6 @@ def bench_queries() -> dict:
     out["bigram_topk"] = _timed(indexing.bigram_topk, SF_DIR)
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
     out["running_totals"] = _timed(relational.running_totals, SF_DIR)
-    out["cap_per_group"] = _timed(traindata.cap_per_group, SF_DIR)
     out["token_count_quantiles"] = _timed(quantiles.token_count_quantiles, SF_DIR)
     out["event_value_quantiles"] = _timed(quantiles.event_value_quantiles, SF_DIR)
     out["events_pivot"] = _timed(relational.events_pivot, SF_DIR)
@@ -230,7 +223,6 @@ def bench_queries() -> dict:
     out["embedding_neardup_pairs"] = _timed(dedup.embedding_neardup_pairs, SF_DIR)
     out["media_features"] = _timed(multimodal.media_features, SF_DIR)
     out["frame_sample"] = _timed(multimodal.frame_sample, SF_DIR)
-    out["sample_exact_k"] = _timed(traindata.sample_exact_k, SF_DIR)
     # first call builds the persisted index under /tmp (cold); the
     # best-of-reps then measures the warm anti-join, the steady-state
     # shape of the incremental-dedup loop
