@@ -86,7 +86,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         quantiles,
         relational,
         similarity,
-        sketches,
         textstats,
     )
     from transner_ray.ops import pagerank as pagerank_mod
@@ -554,7 +553,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exact distinct-terms sibling of the HLL sketch (SQL-checked)
         "distinct_terms": indexing.distinct_terms,
         # Misra-Gries candidates + exact verify pass → SQL-checkable
-        "heavy_hitter_terms": sketches.heavy_hitter_terms,
         # ---- exact distributed quantiles (SQL-checked) ----
         "token_count_quantiles": quantiles.token_count_quantiles,
         "event_value_quantiles": quantiles.event_value_quantiles,
@@ -666,7 +664,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # HLL vocabulary-size sketch; rows-only (no SQL computes an
         # HLL), pinned by exact-merge + accuracy-bound pytest oracles
         # + in-window exact sibling distinct_terms
-        "approx_distinct_tokens": sketches.approx_distinct_tokens,
         # mergeable-histogram sketch for continuous columns; rows-only
         # — error-bound + block-split invariance pinned in pytest;
         # exact in-window siblings are the SQL-gated definition
@@ -768,7 +765,6 @@ def oracle_sql() -> dict[str, str]:
         quantiles,
         relational,
         similarity,
-        sketches,
         textstats,
         validate,
     )
@@ -828,7 +824,6 @@ def oracle_sql() -> dict[str, str]:
         "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
         "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,
         "distinct_terms": indexing.DISTINCT_TERMS_SQL,
-        "heavy_hitter_terms": sketches.heavy_hitters_sql(),
         "inverted_index": indexing.INVERTED_INDEX_SQL,
         "tfidf_top_terms": indexing.TFIDF_SQL,
         "bm25_topk": indexing.BM25_TOPK_SQL,

@@ -163,7 +163,6 @@ def bench_queries() -> dict:
         quantiles,
         relational,
         similarity,
-        sketches,
         textstats,
     )
     from transner_ray.ops import pagerank as pagerank_mod
@@ -205,13 +204,11 @@ def bench_queries() -> dict:
     out["kmeans_embeddings"] = _timed(similarity.kmeans_embeddings, SF_DIR)
     out["entity_pagerank"] = _timed(pagerank_mod.entity_pagerank, SF_DIR)
     out["pack_chunks"] = _timed(pack.pack_chunks, SF_DIR)
-    out["approx_distinct_tokens"] = _timed(sketches.approx_distinct_tokens, SF_DIR)
     out["asof_last_order"] = _timed(joins.last_order_before_event, SF_DIR)
     out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)
     out["inverted_index"] = _timed(indexing.inverted_index, SF_DIR)
     out["tfidf_top_terms"] = _timed(indexing.tfidf_top_terms, SF_DIR)
     out["bm25_topk"] = _timed(indexing.bm25_topk, SF_DIR)
-    out["heavy_hitter_terms"] = _timed(sketches.heavy_hitter_terms, SF_DIR)
     out["bigram_topk"] = _timed(indexing.bigram_topk, SF_DIR)
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
     out["running_totals"] = _timed(relational.running_totals, SF_DIR)

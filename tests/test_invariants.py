@@ -360,7 +360,6 @@ def test_driver_window_covers_flagship_gates():
         "kg_entities": "kg_born_entities",
         "kg_edges": "kg_born_edges",
         "kg_edges_emblink": "kg_born_edges_emblink",
-        "approx_distinct_tokens": "distinct_terms",
         "approx_value_quantiles": "event_value_quantiles",
         "kmeans_embeddings": "ann_brute_force",
         "minhash_dedup": "minhash_selfdup_pairs",
