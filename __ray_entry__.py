@@ -79,7 +79,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from transner_ray.ops import (
         cc,
         dedup,
-        indexing,
         joins,
         multimodal,
         pack,
@@ -547,11 +546,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # variants of machinery that IS SQL-gated via the born/docs
         # gates above — sit past position 50, driver-green in r01-r04)
         # ---- IR indexing + retrieval (all SQL-checked) ----
-        "inverted_index": indexing.inverted_index,
-        "tfidf_top_terms": indexing.tfidf_top_terms,
-        "bm25_topk": indexing.bm25_topk,
         # exact distinct-terms sibling of the HLL sketch (SQL-checked)
-        "distinct_terms": indexing.distinct_terms,
         # Misra-Gries candidates + exact verify pass → SQL-checkable
         # ---- exact distributed quantiles (SQL-checked) ----
         "token_count_quantiles": quantiles.token_count_quantiles,
@@ -668,7 +663,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # — error-bound + block-split invariance pinned in pytest;
         # exact in-window siblings are the SQL-gated definition
         "approx_value_quantiles": quantiles.approx_value_quantiles,
-        "bigram_topk": indexing.bigram_topk,
         # ---- text analysis (SQL-checked) ----
         "token_counts": textstats.token_counts,
         "quality_signals": textstats.quality_signals,
@@ -758,7 +752,6 @@ def oracle_sql() -> dict[str, str]:
     from transner_ray.ops import (
         cc,
         dedup,
-        indexing,
         joins,
         multimodal,
         pack,
@@ -823,11 +816,6 @@ def oracle_sql() -> dict[str, str]:
         "ann_filtered": similarity.filtered_topk_sql(),
         "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
         "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,
-        "distinct_terms": indexing.DISTINCT_TERMS_SQL,
-        "inverted_index": indexing.INVERTED_INDEX_SQL,
-        "tfidf_top_terms": indexing.TFIDF_SQL,
-        "bm25_topk": indexing.BM25_TOPK_SQL,
-        "bigram_topk": indexing.BIGRAM_TOPK_SQL,
         "token_count_quantiles": quantiles.TOKEN_COUNT_QUANTILES_SQL,
         "event_value_quantiles": quantiles.EVENT_VALUE_QUANTILES_SQL,
         "minhash_selfdup_pairs": dedup.SELFDUP_PAIRS_SQL,

@@ -156,7 +156,6 @@ def bench_queries() -> dict:
     from transner_ray.ops import (
         cc,
         dedup,
-        indexing,
         joins,
         multimodal,
         pack,
@@ -206,10 +205,6 @@ def bench_queries() -> dict:
     out["pack_chunks"] = _timed(pack.pack_chunks, SF_DIR)
     out["asof_last_order"] = _timed(joins.last_order_before_event, SF_DIR)
     out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)
-    out["inverted_index"] = _timed(indexing.inverted_index, SF_DIR)
-    out["tfidf_top_terms"] = _timed(indexing.tfidf_top_terms, SF_DIR)
-    out["bm25_topk"] = _timed(indexing.bm25_topk, SF_DIR)
-    out["bigram_topk"] = _timed(indexing.bigram_topk, SF_DIR)
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
     out["running_totals"] = _timed(relational.running_totals, SF_DIR)
     out["token_count_quantiles"] = _timed(quantiles.token_count_quantiles, SF_DIR)

@@ -343,8 +343,7 @@ def test_driver_window_covers_flagship_gates():
         "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
         "kg_born_entities",
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
-        "kg_split_docs_jsonl", "inverted_index",
-        "tfidf_top_terms", "bm25_topk", "token_count_quantiles",
+        "kg_split_docs_jsonl",         "token_count_quantiles",
         "asof_last_order", "range_join_windows", "ann_brute_force",
         "ann_ivf_index", "ann_filtered", "kmeans_embeddings",
         "media_metadata", "dedup_incremental", "doc_chain_components",
