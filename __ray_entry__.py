@@ -81,7 +81,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dedup,
         joins,
         multimodal,
-        pack,
         quantiles,
         relational,
         similarity,
@@ -613,7 +612,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # flagship composite: train split → quality → dedup keeper →
         # decontaminate → pack, in one streaming pass + one reduce
         # ---- sequence packing (distributed prefix scan; SQL-checked) ----
-        "pack_chunks": pack.pack_chunks,
         # round-5 rebuild (distributed eval-gram fold) — SQL-checked
         # exact-k uniform sample (distributed top-k by Knuth hash,
         # blocks × k short rows to the driver, zero shuffle)
@@ -754,7 +752,6 @@ def oracle_sql() -> dict[str, str]:
         dedup,
         joins,
         multimodal,
-        pack,
         quantiles,
         relational,
         similarity,
@@ -812,7 +809,6 @@ def oracle_sql() -> dict[str, str]:
         "curate_corpus": textstats.CURATE_CORPUS_SQL,
         "exact_dedup": dedup.EXACT_DEDUP_SQL,
         "doc_chain_components": cc.DOC_CHAIN_COMPONENTS_SQL,
-        "pack_chunks": pack.PACK_CHUNKS_SQL,
         "ann_filtered": similarity.filtered_topk_sql(),
         "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
         "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,

@@ -158,7 +158,6 @@ def bench_queries() -> dict:
         dedup,
         joins,
         multimodal,
-        pack,
         quantiles,
         relational,
         similarity,
@@ -202,7 +201,6 @@ def bench_queries() -> dict:
     out["ann_ivf_index"] = _timed(similarity.ann_ivf_index, SF_DIR)
     out["kmeans_embeddings"] = _timed(similarity.kmeans_embeddings, SF_DIR)
     out["entity_pagerank"] = _timed(pagerank_mod.entity_pagerank, SF_DIR)
-    out["pack_chunks"] = _timed(pack.pack_chunks, SF_DIR)
     out["asof_last_order"] = _timed(joins.last_order_before_event, SF_DIR)
     out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)

@@ -347,8 +347,7 @@ def test_driver_window_covers_flagship_gates():
         "asof_last_order", "range_join_windows", "ann_brute_force",
         "ann_ivf_index", "ann_filtered", "kmeans_embeddings",
         "media_metadata", "dedup_incremental", "doc_chain_components",
-        "neardup_clusters",                 "pack_chunks",
-    }
+        "neardup_clusters",                     }
     missing = flagship - set(window)
     assert not missing, f"flagship gates outside the driver window: {missing}"
 
