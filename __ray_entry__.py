@@ -81,7 +81,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dedup,
         joins,
         multimodal,
-        quantiles,
         relational,
         similarity,
         textstats,
@@ -548,8 +547,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exact distinct-terms sibling of the HLL sketch (SQL-checked)
         # Misra-Gries candidates + exact verify pass → SQL-checkable
         # ---- exact distributed quantiles (SQL-checked) ----
-        "token_count_quantiles": quantiles.token_count_quantiles,
-        "event_value_quantiles": quantiles.event_value_quantiles,
         # ---- custom time-series joins (SQL-checked) ----
         "asof_last_order": joins.last_order_before_event,
         "range_join_windows": joins.range_join_windows,
@@ -660,7 +657,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # mergeable-histogram sketch for continuous columns; rows-only
         # — error-bound + block-split invariance pinned in pytest;
         # exact in-window siblings are the SQL-gated definition
-        "approx_value_quantiles": quantiles.approx_value_quantiles,
         # ---- text analysis (SQL-checked) ----
         "token_counts": textstats.token_counts,
         "quality_signals": textstats.quality_signals,
@@ -752,7 +748,6 @@ def oracle_sql() -> dict[str, str]:
         dedup,
         joins,
         multimodal,
-        quantiles,
         relational,
         similarity,
         textstats,
@@ -812,8 +807,6 @@ def oracle_sql() -> dict[str, str]:
         "ann_filtered": similarity.filtered_topk_sql(),
         "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
         "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,
-        "token_count_quantiles": quantiles.TOKEN_COUNT_QUANTILES_SQL,
-        "event_value_quantiles": quantiles.EVENT_VALUE_QUANTILES_SQL,
         "minhash_selfdup_pairs": dedup.SELFDUP_PAIRS_SQL,
         "ngram_selfdup_pairs": dedup.NGRAM_SELFDUP_PAIRS_SQL,
         "simhash_selfdup_pairs": dedup.SIMHASH_SELFDUP_PAIRS_SQL,

@@ -158,7 +158,6 @@ def bench_queries() -> dict:
         dedup,
         joins,
         multimodal,
-        quantiles,
         relational,
         similarity,
         textstats,
@@ -205,8 +204,6 @@ def bench_queries() -> dict:
     out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
     out["running_totals"] = _timed(relational.running_totals, SF_DIR)
-    out["token_count_quantiles"] = _timed(quantiles.token_count_quantiles, SF_DIR)
-    out["event_value_quantiles"] = _timed(quantiles.event_value_quantiles, SF_DIR)
     out["events_pivot"] = _timed(relational.events_pivot, SF_DIR)
     out["quality_checks"] = _timed(validate.quality_checks, SF_DIR)
     out["minhash_neardup_pairs"] = _timed(dedup.minhash_neardup_pairs, SF_DIR)

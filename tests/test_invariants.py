@@ -343,8 +343,7 @@ def test_driver_window_covers_flagship_gates():
         "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
         "kg_born_entities",
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
-        "kg_split_docs_jsonl",         "token_count_quantiles",
-        "asof_last_order", "range_join_windows", "ann_brute_force",
+        "kg_split_docs_jsonl",                 "asof_last_order", "range_join_windows", "ann_brute_force",
         "ann_ivf_index", "ann_filtered", "kmeans_embeddings",
         "media_metadata", "dedup_incremental", "doc_chain_components",
         "neardup_clusters",                     }
@@ -358,7 +357,6 @@ def test_driver_window_covers_flagship_gates():
         "kg_entities": "kg_born_entities",
         "kg_edges": "kg_born_edges",
         "kg_edges_emblink": "kg_born_edges_emblink",
-        "approx_value_quantiles": "event_value_quantiles",
         "kmeans_embeddings": "ann_brute_force",
         "minhash_dedup": "minhash_selfdup_pairs",
         "simhash_dedup": "simhash_selfdup_pairs",
