@@ -83,7 +83,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         multimodal,
         relational,
         similarity,
-        textstats,
     )
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.ops import validate
@@ -557,7 +556,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # rule; ann_ivf rotated out to past-window (driver-green
         # r01-r04; its IVF machinery stays gated by ann_ivf_index +
         # ann_filtered below)
-        "token_counts_bpe": textstats.token_counts_bpe,   # SQL-checked
         # persisted list-partitioned IVF index (build once under /tmp,
         # nprobe pruning AT THE READ); exact mode shares the brute
         # force oracle, approximate recall pytest-gated
@@ -658,13 +656,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # — error-bound + block-split invariance pinned in pytest;
         # exact in-window siblings are the SQL-gated definition
         # ---- text analysis (SQL-checked) ----
-        "token_counts": textstats.token_counts,
-        "quality_signals": textstats.quality_signals,
-        "fingerprints": textstats.fingerprints,
-        "language_guess": textstats.language_guess,
-        "stopword_stats": textstats.stopword_stats,
-        "word_repetition": textstats.word_repetition,
-        "curate_corpus": textstats.curate_corpus,
         # ---- relational operator suite (SQL-checked) ----
         "lineitem_pricing": relational.lineitem_pricing,
         "high_quantity_items": relational.high_quantity_items,
@@ -750,7 +741,6 @@ def oracle_sql() -> dict[str, str]:
         multimodal,
         relational,
         similarity,
-        textstats,
         validate,
     )
 
@@ -794,14 +784,6 @@ def oracle_sql() -> dict[str, str]:
               FROM documents
             ) WHERE trim(s) != ''
         """,
-        "token_counts": textstats.TOKEN_COUNTS_SQL,
-        "token_counts_bpe": textstats.TOKEN_COUNTS_BPE_SQL,
-        "quality_signals": textstats.QUALITY_SIGNALS_SQL,
-        "fingerprints": textstats.FINGERPRINTS_SQL,
-        "language_guess": textstats.LANGUAGE_GUESS_SQL,
-        "stopword_stats": textstats.stopword_stats_sql(),
-        "word_repetition": textstats.WORD_REPETITION_SQL,
-        "curate_corpus": textstats.CURATE_CORPUS_SQL,
         "exact_dedup": dedup.EXACT_DEDUP_SQL,
         "doc_chain_components": cc.DOC_CHAIN_COMPONENTS_SQL,
         "ann_filtered": similarity.filtered_topk_sql(),

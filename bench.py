@@ -160,7 +160,6 @@ def bench_queries() -> dict:
         multimodal,
         relational,
         similarity,
-        textstats,
     )
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.ops import validate
@@ -180,9 +179,6 @@ def bench_queries() -> dict:
     out["segment_revenue"] = _timed(relational.segment_revenue, SF_DIR)
     out["events_hourly"] = _timed(relational.events_hourly, SF_DIR)
     out["user_sessions"] = _timed(relational.user_sessions, SF_DIR)
-    out["token_counts"] = _timed(textstats.token_counts, SF_DIR)
-    out["token_counts_bpe"] = _timed(textstats.token_counts_bpe, SF_DIR)
-    out["curate_corpus"] = _timed(textstats.curate_corpus, SF_DIR)
     out["exact_dedup"] = _timed(dedup.exact_dedup, SF_DIR)
     # CC gate with the path graph tiled CC_REPLICAS× (same star-round
     # count, R× rows per round): per-round compute dominates the fixed

@@ -82,7 +82,7 @@ def test_dateparser_hook_import_gate():
 def test_fasttext_lid_import_gate():
     import pytest
 
-    from transner_ray.ops.textstats import FastTextLanguageID
+    from transner_ray.dates import FastTextLanguageID
 
     try:
         import fasttext  # noqa: F401

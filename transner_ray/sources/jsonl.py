@@ -43,7 +43,7 @@ def read_extracted_jsonl(
     """Read JSONL page records into the ``EXTRACTED`` schema.
 
     ``lang_col=None`` (or a missing lang field) fills ``default_lang``
-    — the LID stage (``ops.textstats``) backfills it downstream, the
+    — the LID stage (``dates.FastTextLanguageID``) backfills it downstream, the
     same flow the reference uses when language is unknown
     (ner.py:154-161).
     """
