@@ -80,7 +80,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         cc,
         dedup,
         joins,
-        multimodal,
         relational,
         similarity,
     )
@@ -568,10 +567,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # round-5: iterated dataset re-read per pass (no materialize)
         "kmeans_embeddings": similarity.kmeans_embeddings,
         # ---- multimodal plumbing (all SQL-checked) ----
-        "media_metadata": multimodal.media_metadata,
         # feature-extract stage (vectorized numpy byte stats — the
         # embedding-model compute shape)
-        "media_features": multimodal.media_features,
         # ---- dedup suite ----
         "exact_dedup": dedup.exact_dedup,                 # SQL-checked
         # (minhash_dedup / simhash_dedup / ngram_jaccard_dedup /
@@ -629,7 +626,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # its own row; SQL-checked). Rotated past-window to make room
         # for kg_partitioned_regex_mentions; in-window kin: media_metadata,
         # media_features
-        "frame_sample": multimodal.frame_sample,
         "kg_mentions": lambda sf: kg.mentions_dataset(_kg_spine(sf)),
         "kg_triples": _kg_linked,
         "kg_sentences": _kg_sentences_only,
@@ -738,7 +734,6 @@ def oracle_sql() -> dict[str, str]:
         cc,
         dedup,
         joins,
-        multimodal,
         relational,
         similarity,
         validate,
@@ -848,9 +843,6 @@ def oracle_sql() -> dict[str, str]:
             FROM m GROUP BY c
             ORDER BY entity_id
         """,
-        "media_metadata": multimodal.MEDIA_METADATA_SQL,
-        "media_features": multimodal.MEDIA_FEATURES_SQL,
-        "frame_sample": multimodal.FRAME_SAMPLE_SQL,
         "kg_extract_text": """
             SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
                    text, lang

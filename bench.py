@@ -157,7 +157,6 @@ def bench_queries() -> dict:
         cc,
         dedup,
         joins,
-        multimodal,
         relational,
         similarity,
     )
@@ -204,8 +203,6 @@ def bench_queries() -> dict:
     out["quality_checks"] = _timed(validate.quality_checks, SF_DIR)
     out["minhash_neardup_pairs"] = _timed(dedup.minhash_neardup_pairs, SF_DIR)
     out["embedding_neardup_pairs"] = _timed(dedup.embedding_neardup_pairs, SF_DIR)
-    out["media_features"] = _timed(multimodal.media_features, SF_DIR)
-    out["frame_sample"] = _timed(multimodal.frame_sample, SF_DIR)
     # first call builds the persisted index under /tmp (cold); the
     # best-of-reps then measures the warm anti-join, the steady-state
     # shape of the incremental-dedup loop

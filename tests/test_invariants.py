@@ -345,7 +345,7 @@ def test_driver_window_covers_flagship_gates():
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
         "kg_split_docs_jsonl",                 "asof_last_order", "range_join_windows", "ann_brute_force",
         "ann_ivf_index", "ann_filtered", "kmeans_embeddings",
-        "media_metadata", "dedup_incremental", "doc_chain_components",
+        "dedup_incremental", "doc_chain_components",
         "neardup_clusters",                     }
     missing = flagship - set(window)
     assert not missing, f"flagship gates outside the driver window: {missing}"
