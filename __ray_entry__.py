@@ -84,7 +84,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         similarity,
     )
     from transner_ray.ops import pagerank as pagerank_mod
-    from transner_ray.ops import validate
     from transner_ray.pipelines import kg
     from transner_ray.synth import pages_from_documents
 
@@ -661,7 +660,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "first_event_per_user_type": relational.first_event_per_user_type,
         "events_hourly": relational.events_hourly,
         "events_pivot": relational.events_pivot,
-        "quality_checks": validate.quality_checks,
         "distinct_flag_status": relational.distinct_flag_status,
         "union_lower_count": relational.union_lower_count,
         "brand_stats": relational.brand_stats,
@@ -736,7 +734,6 @@ def oracle_sql() -> dict[str, str]:
         joins,
         relational,
         similarity,
-        validate,
     )
 
     return {
@@ -748,7 +745,6 @@ def oracle_sql() -> dict[str, str]:
         "first_event_per_user_type": relational.FIRST_EVENT_SQL,
         "events_hourly": relational.EVENTS_HOURLY_SQL,
         "events_pivot": relational.EVENTS_PIVOT_SQL,
-        "quality_checks": validate.QUALITY_CHECKS_SQL,
         "distinct_flag_status": relational.DISTINCT_FLAG_STATUS_SQL,
         "union_lower_count": relational.UNION_LOWER_COUNT_SQL,
         "brand_stats": relational.BRAND_STATS_SQL,

@@ -161,7 +161,6 @@ def bench_queries() -> dict:
         similarity,
     )
     from transner_ray.ops import pagerank as pagerank_mod
-    from transner_ray.ops import validate
 
     out = {}
     # flat mentions table over the synthetic-pages spine — times the
@@ -200,7 +199,6 @@ def bench_queries() -> dict:
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
     out["running_totals"] = _timed(relational.running_totals, SF_DIR)
     out["events_pivot"] = _timed(relational.events_pivot, SF_DIR)
-    out["quality_checks"] = _timed(validate.quality_checks, SF_DIR)
     out["minhash_neardup_pairs"] = _timed(dedup.minhash_neardup_pairs, SF_DIR)
     out["embedding_neardup_pairs"] = _timed(dedup.embedding_neardup_pairs, SF_DIR)
     # first call builds the persisted index under /tmp (cold); the
