@@ -81,7 +81,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dedup,
         joins,
         relational,
-        similarity,
     )
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.pipelines import kg
@@ -548,7 +547,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "asof_last_order": joins.last_order_before_event,
         "range_join_windows": joins.range_join_windows,
         # ---- similarity search ----
-        "ann_brute_force": similarity.brute_force_topk,   # SQL-checked
         # LM-tokenizer pre-token counting (GPT-2-shape regex; exact
         # RE2 oracle) — new in round 5, so in-window per the rotation
         # rule; ann_ivf rotated out to past-window (driver-green
@@ -557,14 +555,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # persisted list-partitioned IVF index (build once under /tmp,
         # nprobe pruning AT THE READ); exact mode shares the brute
         # force oracle, approximate recall pytest-gated
-        "ann_ivf_index": similarity.ann_ivf_index,
         # metadata-filtered exact vector search (label predicate pushed
         # to the parquet read) — SQL-checked
-        "ann_filtered": similarity.filtered_topk,
         # distributed Lloyd fit; rows-only (iterative float fit has no
         # SQL), pinned by exact-equality sequential oracle in pytest;
         # round-5: iterated dataset re-read per pass (no materialize)
-        "kmeans_embeddings": similarity.kmeans_embeddings,
         # ---- multimodal plumbing (all SQL-checked) ----
         # feature-extract stage (vectorized numpy byte stats — the
         # embedding-model compute shape)
@@ -620,7 +615,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # approximate default stays pytest-gated (test_ann_ivf_recall).
         # Rotated past-window in r5 (driver-green r01-r04) to make room
         # for token_counts_bpe; in-window kin: ann_ivf_index, ann_filtered
-        "ann_ivf": lambda sf: similarity.ivf_topk(sf, nprobe=16),  # SQL-checked
         # video frame sampling (every 4th frame of the fake container as
         # its own row; SQL-checked). Rotated past-window to make room
         # for kg_partitioned_regex_mentions; in-window kin: media_metadata,
@@ -733,7 +727,6 @@ def oracle_sql() -> dict[str, str]:
         dedup,
         joins,
         relational,
-        similarity,
     )
 
     return {
@@ -777,7 +770,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "exact_dedup": dedup.EXACT_DEDUP_SQL,
         "doc_chain_components": cc.DOC_CHAIN_COMPONENTS_SQL,
-        "ann_filtered": similarity.filtered_topk_sql(),
         "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
         "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,
         "minhash_selfdup_pairs": dedup.SELFDUP_PAIRS_SQL,
@@ -789,10 +781,7 @@ def oracle_sql() -> dict[str, str]:
         "embedding_neardup_pairs": dedup.EMB_NEARDUP_PAIRS_SQL,
         "dup_window_docs": dedup.DUP_WINDOW_DOCS_SQL,
         "dedup_incremental": dedup.DEDUP_INCREMENTAL_SQL,
-        "ann_brute_force": similarity.brute_force_topk_sql(),
         # exact-mode IVF (nprobe = n_centroids) equals brute force
-        "ann_ivf": similarity.brute_force_topk_sql(),
-        "ann_ivf_index": similarity.brute_force_topk_sql(),
         "kg_sentences_docs": r"""
             SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
                    trim(s) AS sentence

@@ -158,7 +158,6 @@ def bench_queries() -> dict:
         dedup,
         joins,
         relational,
-        similarity,
     )
     from transner_ray.ops import pagerank as pagerank_mod
 
@@ -190,9 +189,6 @@ def bench_queries() -> dict:
     out["simhash_dedup"] = _timed(dedup.simhash_dedup, SF_DIR)
     out["ngram_jaccard_dedup"] = _timed(dedup.ngram_jaccard_dedup, SF_DIR)
     out["events_sliding"] = _timed(relational.events_sliding, SF_DIR)
-    out["ann_brute_force"] = _timed(similarity.brute_force_topk, SF_DIR)
-    out["ann_ivf_index"] = _timed(similarity.ann_ivf_index, SF_DIR)
-    out["kmeans_embeddings"] = _timed(similarity.kmeans_embeddings, SF_DIR)
     out["entity_pagerank"] = _timed(pagerank_mod.entity_pagerank, SF_DIR)
     out["asof_last_order"] = _timed(joins.last_order_before_event, SF_DIR)
     out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)

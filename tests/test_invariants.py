@@ -343,9 +343,7 @@ def test_driver_window_covers_flagship_gates():
         "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
         "kg_born_entities",
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
-        "kg_split_docs_jsonl",                 "asof_last_order", "range_join_windows", "ann_brute_force",
-        "ann_ivf_index", "ann_filtered", "kmeans_embeddings",
-        "dedup_incremental", "doc_chain_components",
+        "kg_split_docs_jsonl",                 "asof_last_order", "range_join_windows",                 "dedup_incremental", "doc_chain_components",
         "neardup_clusters",                     }
     missing = flagship - set(window)
     assert not missing, f"flagship gates outside the driver window: {missing}"
@@ -357,7 +355,6 @@ def test_driver_window_covers_flagship_gates():
         "kg_entities": "kg_born_entities",
         "kg_edges": "kg_born_edges",
         "kg_edges_emblink": "kg_born_edges_emblink",
-        "kmeans_embeddings": "ann_brute_force",
         "minhash_dedup": "minhash_selfdup_pairs",
         "simhash_dedup": "simhash_selfdup_pairs",
         "ngram_jaccard_dedup": "ngram_selfdup_pairs",
