@@ -79,7 +79,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from transner_ray.ops import (
         cc,
         dedup,
-        joins,
         relational,
     )
     from transner_ray.ops import pagerank as pagerank_mod
@@ -544,8 +543,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # Misra-Gries candidates + exact verify pass → SQL-checkable
         # ---- exact distributed quantiles (SQL-checked) ----
         # ---- custom time-series joins (SQL-checked) ----
-        "asof_last_order": joins.last_order_before_event,
-        "range_join_windows": joins.range_join_windows,
         # ---- similarity search ----
         # LM-tokenizer pre-token counting (GPT-2-shape regex; exact
         # RE2 oracle) — new in round 5, so in-window per the rotation
@@ -725,7 +722,6 @@ def oracle_sql() -> dict[str, str]:
     from transner_ray.ops import (
         cc,
         dedup,
-        joins,
         relational,
     )
 
@@ -770,8 +766,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "exact_dedup": dedup.EXACT_DEDUP_SQL,
         "doc_chain_components": cc.DOC_CHAIN_COMPONENTS_SQL,
-        "asof_last_order": joins.ASOF_LAST_ORDER_SQL,
-        "range_join_windows": joins.RANGE_JOIN_WINDOWS_SQL,
         "minhash_selfdup_pairs": dedup.SELFDUP_PAIRS_SQL,
         "ngram_selfdup_pairs": dedup.NGRAM_SELFDUP_PAIRS_SQL,
         "simhash_selfdup_pairs": dedup.SIMHASH_SELFDUP_PAIRS_SQL,

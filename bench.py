@@ -156,7 +156,6 @@ def bench_queries() -> dict:
     from transner_ray.ops import (
         cc,
         dedup,
-        joins,
         relational,
     )
     from transner_ray.ops import pagerank as pagerank_mod
@@ -190,8 +189,6 @@ def bench_queries() -> dict:
     out["ngram_jaccard_dedup"] = _timed(dedup.ngram_jaccard_dedup, SF_DIR)
     out["events_sliding"] = _timed(relational.events_sliding, SF_DIR)
     out["entity_pagerank"] = _timed(pagerank_mod.entity_pagerank, SF_DIR)
-    out["asof_last_order"] = _timed(joins.last_order_before_event, SF_DIR)
-    out["range_join_windows"] = _timed(joins.range_join_windows, SF_DIR)
     out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
     out["running_totals"] = _timed(relational.running_totals, SF_DIR)
     out["events_pivot"] = _timed(relational.events_pivot, SF_DIR)

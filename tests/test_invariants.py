@@ -343,7 +343,7 @@ def test_driver_window_covers_flagship_gates():
         "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
         "kg_born_entities",
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
-        "kg_split_docs_jsonl",                 "asof_last_order", "range_join_windows",                 "dedup_incremental", "doc_chain_components",
+        "kg_split_docs_jsonl",                                 "dedup_incremental", "doc_chain_components",
         "neardup_clusters",                     }
     missing = flagship - set(window)
     assert not missing, f"flagship gates outside the driver window: {missing}"
