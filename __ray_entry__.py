@@ -77,7 +77,6 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from transner_ray.ops import (
-        cc,
         dedup,
         relational,
     )
@@ -589,8 +588,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ---- near-dup clustering (large-star/small-star CC) ----
         # chain-graph gate is SQL-checked; the minhash-fed variant is
         # rows-only (sketch upstream) with a union-find pytest oracle
-        "doc_chain_components": cc.doc_chain_components,
-        "neardup_clusters": cc.neardup_clusters,
         # ---- training-data curation suite ----
         # flagship composite: train split → quality → dedup keeper →
         # decontaminate → pack, in one streaming pass + one reduce
@@ -720,7 +717,6 @@ def _born_pagerank_sql() -> str:
 
 def oracle_sql() -> dict[str, str]:
     from transner_ray.ops import (
-        cc,
         dedup,
         relational,
     )
@@ -765,7 +761,6 @@ def oracle_sql() -> dict[str, str]:
             ) WHERE trim(s) != ''
         """,
         "exact_dedup": dedup.EXACT_DEDUP_SQL,
-        "doc_chain_components": cc.DOC_CHAIN_COMPONENTS_SQL,
         "minhash_selfdup_pairs": dedup.SELFDUP_PAIRS_SQL,
         "ngram_selfdup_pairs": dedup.NGRAM_SELFDUP_PAIRS_SQL,
         "simhash_selfdup_pairs": dedup.SIMHASH_SELFDUP_PAIRS_SQL,

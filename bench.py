@@ -116,7 +116,6 @@ def bench_kg() -> dict:
 
 
 QUERY_REPS = int(os.environ.get("GRAFT_QUERY_REPS", "2"))
-CC_REPLICAS = int(os.environ.get("GRAFT_CC_REPLICAS", "256"))
 
 
 def _timed_once(fn, *args) -> float:
@@ -154,7 +153,6 @@ def _timed(fn, *args) -> float:
 
 def bench_queries() -> dict:
     from transner_ray.ops import (
-        cc,
         dedup,
         relational,
     )
@@ -176,14 +174,6 @@ def bench_queries() -> dict:
     out["events_hourly"] = _timed(relational.events_hourly, SF_DIR)
     out["user_sessions"] = _timed(relational.user_sessions, SF_DIR)
     out["exact_dedup"] = _timed(dedup.exact_dedup, SF_DIR)
-    # CC gate with the path graph tiled CC_REPLICAS× (same star-round
-    # count, R× rows per round): per-round compute dominates the fixed
-    # per-round dispatch, so this row measures the engine (VERDICT r3
-    # #7; BASELINE.md "CC bench amortization"). Row renamed so it is
-    # not compared 1:1 against the unreplicated r1-r3 rows.
-    out["doc_chain_components_x%d" % CC_REPLICAS] = _timed(
-        lambda sf: cc.doc_chain_components(sf, replicas=CC_REPLICAS), SF_DIR
-    )
     out["minhash_dedup"] = _timed(dedup.minhash_dedup, SF_DIR)
     out["simhash_dedup"] = _timed(dedup.simhash_dedup, SF_DIR)
     out["ngram_jaccard_dedup"] = _timed(dedup.ngram_jaccard_dedup, SF_DIR)

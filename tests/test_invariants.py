@@ -343,8 +343,7 @@ def test_driver_window_covers_flagship_gates():
         "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
         "kg_born_entities",
         "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
-        "kg_split_docs_jsonl",                                 "dedup_incremental", "doc_chain_components",
-        "neardup_clusters",                     }
+        "kg_split_docs_jsonl",                                 "dedup_incremental",                             }
     missing = flagship - set(window)
     assert not missing, f"flagship gates outside the driver window: {missing}"
 
@@ -360,7 +359,6 @@ def test_driver_window_covers_flagship_gates():
         "ngram_jaccard_dedup": "ngram_selfdup_pairs",
         "embedding_neardup": "embedding_selfdup_pairs",
         "entity_pagerank": "born_entity_pagerank",
-        "neardup_clusters": "doc_chain_components",
     }
     for k in window:
         if k in sql:
