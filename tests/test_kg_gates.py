@@ -283,7 +283,7 @@ def test_scaled_fanout_grows_with_input():
     64-bucket reduces cap the wide phase at 64 tasks at 100 TB. Floors
     hold at sandbox scale (no small-sf regression); growth is linear
     above the knee; the cap bounds task-count explosion."""
-    from transner_ray.ops.agg import (
+    from transner_ray.ops.pagerank import (
         MAX_BUCKETS,
         NUM_AGG_BUCKETS,
         ROWS_PER_BUCKET,

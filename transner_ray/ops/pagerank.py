@@ -7,13 +7,11 @@ analytics layer: weighted PageRank with damping and dangling-mass
 redistribution, expressed in the repo's partitioned hash-aggregate
 idiom.
 
-Per iteration, TWO bucketed shuffles (the same budget as one CC
-round):
+Per iteration, TWO bucketed shuffles:
 
 1. **contribution pass** — adjacency rows and current rank rows are
-   co-partitioned by ``hash(src)`` (the `_attach_feats` union-tag
-   pattern: one groupby sees both sides, no Dataset.join operator
-   cost). One vectorized pandas call per bucket merges ranks onto
+   co-partitioned by ``hash(src)`` (union-tagged rows: one groupby
+   sees both sides, no Dataset.join operator cost). One vectorized pandas call per bucket merges ranks onto
    edges, normalizes by the src's out-weight (all of a src's edges
    live in its bucket by construction), and emits per-(bucket, dst)
    partial contribution sums plus one dangling-mass row per bucket.
@@ -23,7 +21,7 @@ round):
    (missing nodes get base rank — a node with no in-edges must still
    be ranked).
 
-Exact determinism (the kmeans_embeddings recipe): every per-edge
+Exact determinism: every per-edge
 contribution is computed in float64 (deterministic scalar math), then
 QUANTIZED to int64 fixed-point (×2⁴⁰) before any summation — integer
 addition is order-free, so ranks are bit-identical at any block
@@ -32,8 +30,7 @@ frame equality against a sequential implementation of the same
 arithmetic, not an allclose. Mass is normalized to 1, so int64 sums
 cannot overflow (Σ contributions ≤ 2⁴⁰ + rounding).
 
-Size switch (the repo-wide sub-exact-max pattern, cf.
-cc.CC_EXACT_MAX): an edge list at or under ``PR_EXACT_MAX`` runs the
+Size switch: an edge list at or under ``PR_EXACT_MAX`` runs the
 same quantized arithmetic in one driver numpy pass; tests force the
 distributed rounds and pin fast-path == distributed == oracle.
 
@@ -49,14 +46,46 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from .agg import scaled_num_buckets
-from .dedup import _mix64
-
 PR_DAMPING = 0.85
 PR_ITERS = 10
 PR_FLOOR_BUCKETS = 16
 PR_EXACT_MAX = 1 << 20
 _QS = float(1 << 40)  # fixed-point scale for order-free sums
+
+NUM_AGG_BUCKETS = 64  # default floor of scaled_num_buckets
+# Target input rows per reduce bucket: a bucket reduce materializes one
+# pandas DataFrame of everything hashed into it, so ~256k short rows
+# keeps a task in the tens of MB.
+ROWS_PER_BUCKET = 1 << 18
+MAX_BUCKETS = 1 << 17  # beyond ~131k reduce tasks, let buckets grow instead
+
+
+def scaled_num_buckets(
+    n_rows: int | None,
+    floor: int = NUM_AGG_BUCKETS,
+    rows_per_bucket: int = ROWS_PER_BUCKET,
+    cap: int = MAX_BUCKETS,
+) -> int:
+    """Reduce fan-out derived from INPUT SIZE: buckets grow linearly
+    with the data above ``floor × rows_per_bucket`` rows, so at 10^9+
+    edges the reduce is thousands of bounded tasks instead of a fixed
+    few each materializing a slice of the graph. None falls back to
+    the floor. Ranks are bucket-count-invariant (keys never split
+    across buckets), so results don't depend on the knob."""
+    if not n_rows or n_rows <= 0:
+        return floor
+    return int(min(cap, max(floor, n_rows // rows_per_bucket)))
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized over uint64."""
+    x = x.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _q_round(x):
@@ -375,8 +404,7 @@ def entity_pagerank_over(
     )
 
     # join back node-hash → entity_id WITHOUT collecting the mapping:
-    # the reduce-side union-tag join (dedup._attach_feats pattern) —
-    # mapping rows and rank rows co-partition by hash(node), one
+    # a reduce-side union-tag join — mapping rows and rank rows co-partition by hash(node), one
     # vectorized merge per bucket. Scales with the entity count.
     def mapping_rows(t: pa.Table) -> pa.Table:
         import pandas as pd
