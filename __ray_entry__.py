@@ -2,12 +2,12 @@
 
 ``entry()`` runs the flagship KG pipeline on a deterministic synthetic
 pages corpus (BASELINE.json input_hint shape) derived from seed 42;
-``queries()`` exposes every implemented operator/pipeline from
-SURVEY.md §2 as a callable over ``sf_dir``; ``oracle_sql()`` gives the
-DuckDB-equivalent SQL where the op is SQL-expressible (KG pipeline
-stages over synthetic pages and the sketch-based dedup ops are
-rows-only by design — their correctness gate is the pytest oracle
-suite instead).
+``queries()`` exposes the KG job's stages, and PageRank over its entity
+graph, as callables over ``sf_dir``; ``oracle_sql()`` gives the
+DuckDB-equivalent SQL for every query whose input is SQL-derivable
+(documents-derived or carrier pages). The rows-only synthetic-pages
+variants each have an SQL-checked sibling (tests/test_invariants.py)
+and are pinned against the sequential oracle in pytest.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ray.init()/ray.shutdown() anywhere in these callables.
@@ -76,10 +76,6 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from transner_ray.ops import (
-        dedup,
-        relational,
-    )
     from transner_ray.ops import pagerank as pagerank_mod
     from transner_ray.pipelines import kg
     from transner_ray.synth import pages_from_documents
@@ -488,28 +484,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             batch_format="pyarrow",
         )
 
-    # NOTE on dict ORDER: the driver's correctness gate checks the
-    # FIRST 50 keys in dict order. The flagship KG gates, IR,
-    # quantiles, joins, ANN, k-means, multimodal, the dedup suite and
-    # the traindata suite come first. ROTATION RULE (round-4 verdict):
-    # any query that has never appeared in a driver window — or whose
-    # implementation changed this round — must be rotated into the
-    # first 50 before new work lands; long-stable rows (driver-green
-    # in CORRECTNESS_r01-r04) rotate out to make room, and the local
-    # gate (scripts/check_queries.py) still runs ALL of them each
-    # session. Round-5 rotation: in = kg_born_edges_joinlink (new),
-    # decontaminate (rebuilt distributed eval-gram), epoch_shuffle,
-    # vocab_topk, sample_exact_k, chunk_documents, ann_filtered,
-    # bpe_merges, neardup_clusters; out = r04-checked rows-only
-    # entries whose SQL siblings stay in-window, plus bigram_topk /
-    # entity_pagerank (r04-green, machinery gated by in-window kin).
-    # Late-r5: in = token_counts_bpe (new); out = ann_ivf (driver-green
-    # r01-r04; IVF machinery still gated by ann_ivf_index/ann_filtered).
-    # Then: in = kg_partitioned_regex_mentions (new); out = frame_sample
-    # (green in CORRECTNESS_r01-r05; media_metadata/media_features stay in).
     return {
-        # ---- KG pipeline stages (the north-star; documents-derived
-        # variants are SQL-checked, synthetic-pages spine rows-only) ----
+        # ---- KG pipeline stages over documents-derived and carrier
+        # pages (SQL-checked) ----
         "kg_extract_text": kg_extract,
         "kg_split_docs": kg_split_docs,
         "kg_split_docs_jsonl": kg_split_docs_jsonl,
@@ -533,86 +510,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "born_entity_pagerank": lambda sf: pagerank_mod.entity_pagerank_over(
             kg_born_edges(sf), force_distributed=True, iters=5, num_buckets=4
         ),
-        # (kg_mentions / kg_triples / kg_sentences / kg_entities /
-        # kg_edges / kg_edges_emblink — the rows-only synthetic-pages
-        # variants of machinery that IS SQL-gated via the born/docs
-        # gates above — sit past position 50, driver-green in r01-r04)
-        # ---- IR indexing + retrieval (all SQL-checked) ----
-        # exact distinct-terms sibling of the HLL sketch (SQL-checked)
-        # Misra-Gries candidates + exact verify pass → SQL-checkable
-        # ---- exact distributed quantiles (SQL-checked) ----
-        # ---- custom time-series joins (SQL-checked) ----
-        # ---- similarity search ----
-        # LM-tokenizer pre-token counting (GPT-2-shape regex; exact
-        # RE2 oracle) — new in round 5, so in-window per the rotation
-        # rule; ann_ivf rotated out to past-window (driver-green
-        # r01-r04; its IVF machinery stays gated by ann_ivf_index +
-        # ann_filtered below)
-        # persisted list-partitioned IVF index (build once under /tmp,
-        # nprobe pruning AT THE READ); exact mode shares the brute
-        # force oracle, approximate recall pytest-gated
-        # metadata-filtered exact vector search (label predicate pushed
-        # to the parquet read) — SQL-checked
-        # distributed Lloyd fit; rows-only (iterative float fit has no
-        # SQL), pinned by exact-equality sequential oracle in pytest;
-        # round-5: iterated dataset re-read per pass (no materialize)
-        # ---- multimodal plumbing (all SQL-checked) ----
-        # feature-extract stage (vectorized numpy byte stats — the
-        # embedding-model compute shape)
-        # ---- dedup suite ----
-        "exact_dedup": dedup.exact_dedup,                 # SQL-checked
-        # (minhash_dedup / simhash_dedup / ngram_jaccard_dedup /
-        # embedding_neardup — the rows-only production entries of
-        # machinery gated by the *_selfdup/_neardup SQL pairs below —
-        # sit past position 50, driver-green in r04)
-        # SQL-checked gates for the sketch machinery: the same
-        # pipelines over a self-dup-augmented corpus, exact-dup slice
-        # (planted dup of EVERY row → SQL text/vector-equality oracle)
-        "minhash_selfdup_pairs": dedup.minhash_selfdup_pairs,
-        "ngram_selfdup_pairs": dedup.ngram_selfdup_pairs,
-        "simhash_selfdup_pairs": dedup.simhash_selfdup_pairs,
-        "embedding_selfdup_pairs": dedup.embedding_selfdup_pairs,
-        # SQL-checked gates for the NEAR-MISS path (similarity in
-        # [threshold, 1)): perturbed-dup corpora with DuckDB-computable
-        # exact Jaccard / guaranteed-bucket cosine oracles
-        "minhash_neardup_pairs": dedup.minhash_neardup_pairs,
-        "ngram_neardup_pairs": dedup.ngram_neardup_pairs,
-        "embedding_neardup_pairs": dedup.embedding_neardup_pairs,
-        # exact duplicated-substring detection (word-10-gram windows
-        # occurring ≥2× corpus-wide), Lee et al. 2022 shape — SQL-checked
-        "dup_window_docs": dedup.dup_window_docs,
-        # incremental dedup of a new crawl shard against a PERSISTED
-        # hash-bucketed fingerprint index (build under /tmp once,
-        # co-partitioned anti-join, no broadcast) — SQL-checked
-        "dedup_incremental": dedup.dedup_incremental,
-        # ---- near-dup clustering (large-star/small-star CC) ----
-        # chain-graph gate is SQL-checked; the minhash-fed variant is
-        # rows-only (sketch upstream) with a union-find pytest oracle
-        # ---- training-data curation suite ----
-        # flagship composite: train split → quality → dedup keeper →
-        # decontaminate → pack, in one streaming pass + one reduce
-        # ---- sequence packing (distributed prefix scan; SQL-checked) ----
-        # round-5 rebuild (distributed eval-gram fold) — SQL-checked
-        # exact-k uniform sample (distributed top-k by Knuth hash,
-        # blocks × k short rows to the driver, zero shuffle)
-        # sliding-window chunking (RAG-ingest shape; SQL-checked)
-        # BPE tokenizer training: ONE distributed word-count pass
-        # (vocab_topk machinery, SQL-gated above) + driver merge loop
-        # over the vocab-scale table; rows-only (iterative merges are
-        # not SQL-expressible), exact-equality pytest oracle +
-        # in-window SQL sibling vocab_topk
-        # ---------- position >50: long-stable rows below this line get
-        # their driver verification from CORRECTNESS_r01-r04; the local
-        # gate still checks every one of them each session ----------
-        # IVF in EXACT mode (nprobe = n_centroids probes every list →
-        # provably equal to brute force → shares its SQL oracle); the
-        # approximate default stays pytest-gated (test_ann_ivf_recall).
-        # Rotated past-window in r5 (driver-green r01-r04) to make room
-        # for token_counts_bpe; in-window kin: ann_ivf_index, ann_filtered
-        # video frame sampling (every 4th frame of the fake container as
-        # its own row; SQL-checked). Rotated past-window to make room
-        # for kg_partitioned_regex_mentions; in-window kin: media_metadata,
-        # media_features
+        # ---- rows-only synthetic-pages variants; each has an
+        # SQL-checked sibling above (tests/test_invariants.py) ----
         "kg_mentions": lambda sf: kg.mentions_dataset(_kg_spine(sf)),
         "kg_triples": _kg_linked,
         "kg_sentences": _kg_sentences_only,
@@ -624,42 +523,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # graph analytics over the constructed KG (rows-only: iterative
         # float fit; exact-equality + float-reference pytest oracles;
-        # machinery SQL-gated via in-window born_entity_pagerank)
+        # machinery SQL-gated via born_entity_pagerank)
         "entity_pagerank": pagerank_mod.entity_pagerank,
-        # rows-only production dedup entries (machinery gated by the
-        # in-window *_selfdup/_neardup SQL pairs)
-        "minhash_dedup": dedup.minhash_dedup,
-        "simhash_dedup": dedup.simhash_dedup,
-        "ngram_jaccard_dedup": dedup.ngram_jaccard_dedup,
-        "embedding_neardup": dedup.embedding_neardup,
-        # HLL vocabulary-size sketch; rows-only (no SQL computes an
-        # HLL), pinned by exact-merge + accuracy-bound pytest oracles
-        # + in-window exact sibling distinct_terms
-        # mergeable-histogram sketch for continuous columns; rows-only
-        # — error-bound + block-split invariance pinned in pytest;
-        # exact in-window siblings are the SQL-gated definition
-        # ---- text analysis (SQL-checked) ----
-        # ---- relational operator suite (SQL-checked) ----
-        "lineitem_pricing": relational.lineitem_pricing,
-        "high_quantity_items": relational.high_quantity_items,
-        "top_orders": relational.top_orders,
-        "customers_per_region": relational.customers_per_region,
-        "segment_revenue": relational.segment_revenue,
-        "first_event_per_user_type": relational.first_event_per_user_type,
-        "events_hourly": relational.events_hourly,
-        "events_pivot": relational.events_pivot,
-        "distinct_flag_status": relational.distinct_flag_status,
-        "union_lower_count": relational.union_lower_count,
-        "brand_stats": relational.brand_stats,
-        "user_sessions": relational.user_sessions,
-        "running_totals": relational.running_totals,
-        "event_deltas": relational.event_deltas,
-        "top_parts_per_brand": relational.top_parts_per_brand,
-        "customers_without_big_orders": relational.customers_without_big_orders,
-        "event_props_stats": relational.event_props_stats,
-        "priority_revenue": relational.priority_revenue,
-        "events_sliding": relational.events_sliding,
-        "supplier_balance_by_nation": relational.supplier_balance_by_nation,
     }
 
 
@@ -716,32 +581,7 @@ def _born_pagerank_sql() -> str:
 
 
 def oracle_sql() -> dict[str, str]:
-    from transner_ray.ops import (
-        dedup,
-        relational,
-    )
-
     return {
-        "lineitem_pricing": relational.LINEITEM_PRICING_SQL,
-        "high_quantity_items": relational.HIGH_QUANTITY_ITEMS_SQL,
-        "top_orders": relational.TOP_ORDERS_SQL,
-        "customers_per_region": relational.CUSTOMERS_PER_REGION_SQL,
-        "segment_revenue": relational.SEGMENT_REVENUE_SQL,
-        "first_event_per_user_type": relational.FIRST_EVENT_SQL,
-        "events_hourly": relational.EVENTS_HOURLY_SQL,
-        "events_pivot": relational.EVENTS_PIVOT_SQL,
-        "distinct_flag_status": relational.DISTINCT_FLAG_STATUS_SQL,
-        "union_lower_count": relational.UNION_LOWER_COUNT_SQL,
-        "brand_stats": relational.BRAND_STATS_SQL,
-        "user_sessions": relational.USER_SESSIONS_SQL,
-        "running_totals": relational.RUNNING_TOTALS_SQL,
-        "event_deltas": relational.EVENT_DELTAS_SQL,
-        "top_parts_per_brand": relational.TOP_PARTS_PER_BRAND_SQL,
-        "customers_without_big_orders": relational.CUSTOMERS_WITHOUT_BIG_ORDERS_SQL,
-        "event_props_stats": relational.EVENT_PROPS_STATS_SQL,
-        "priority_revenue": relational.PRIORITY_REVENUE_SQL,
-        "events_sliding": relational.EVENTS_SLIDING_SQL,
-        "supplier_balance_by_nation": relational.SUPPLIER_BALANCE_SQL,
         "kg_split_docs": r"""
             SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
                    trim(s) AS sentence
@@ -760,16 +600,6 @@ def oracle_sql() -> dict[str, str]:
               FROM documents
             ) WHERE trim(s) != ''
         """,
-        "exact_dedup": dedup.EXACT_DEDUP_SQL,
-        "minhash_selfdup_pairs": dedup.SELFDUP_PAIRS_SQL,
-        "ngram_selfdup_pairs": dedup.NGRAM_SELFDUP_PAIRS_SQL,
-        "simhash_selfdup_pairs": dedup.SIMHASH_SELFDUP_PAIRS_SQL,
-        "embedding_selfdup_pairs": dedup.EMB_SELFDUP_PAIRS_SQL,
-        "minhash_neardup_pairs": dedup.MINHASH_NEARDUP_PAIRS_SQL,
-        "ngram_neardup_pairs": dedup.NGRAM_NEARDUP_PAIRS_SQL,
-        "embedding_neardup_pairs": dedup.EMB_NEARDUP_PAIRS_SQL,
-        "dup_window_docs": dedup.DUP_WINDOW_DOCS_SQL,
-        "dedup_incremental": dedup.DEDUP_INCREMENTAL_SQL,
         # exact-mode IVF (nprobe = n_centroids) equals brute force
         "kg_sentences_docs": r"""
             SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,

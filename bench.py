@@ -152,10 +152,6 @@ def _timed(fn, *args) -> float:
 
 
 def bench_queries() -> dict:
-    from transner_ray.ops import (
-        dedup,
-        relational,
-    )
     from transner_ray.ops import pagerank as pagerank_mod
 
     out = {}
@@ -169,26 +165,7 @@ def bench_queries() -> dict:
         )
 
     out["kg_mentions"] = _timed(_kg_mentions, SF_DIR)
-    out["lineitem_pricing"] = _timed(relational.lineitem_pricing, SF_DIR)
-    out["segment_revenue"] = _timed(relational.segment_revenue, SF_DIR)
-    out["events_hourly"] = _timed(relational.events_hourly, SF_DIR)
-    out["user_sessions"] = _timed(relational.user_sessions, SF_DIR)
-    out["exact_dedup"] = _timed(dedup.exact_dedup, SF_DIR)
-    out["minhash_dedup"] = _timed(dedup.minhash_dedup, SF_DIR)
-    out["simhash_dedup"] = _timed(dedup.simhash_dedup, SF_DIR)
-    out["ngram_jaccard_dedup"] = _timed(dedup.ngram_jaccard_dedup, SF_DIR)
-    out["events_sliding"] = _timed(relational.events_sliding, SF_DIR)
     out["entity_pagerank"] = _timed(pagerank_mod.entity_pagerank, SF_DIR)
-    out["event_deltas"] = _timed(relational.event_deltas, SF_DIR)
-    out["running_totals"] = _timed(relational.running_totals, SF_DIR)
-    out["events_pivot"] = _timed(relational.events_pivot, SF_DIR)
-    out["minhash_neardup_pairs"] = _timed(dedup.minhash_neardup_pairs, SF_DIR)
-    out["embedding_neardup_pairs"] = _timed(dedup.embedding_neardup_pairs, SF_DIR)
-    # first call builds the persisted index under /tmp (cold); the
-    # best-of-reps then measures the warm anti-join, the steady-state
-    # shape of the incremental-dedup loop
-    out["dedup_incremental"] = _timed(dedup.dedup_incremental, SF_DIR)
-
     return out
 
 

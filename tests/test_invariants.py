@@ -327,25 +327,17 @@ def test_mention_value_matches_sentence_surface():
 def test_driver_window_covers_flagship_gates():
     """The driver's correctness gate checks only the FIRST 50
     queries() keys (observed in round 3: everything after position 50
-    got no CORRECTNESS row). Pin the flagship SQL gates inside the
-    window, and require every rows-only key in the window to have an
-    SQL-checked sibling also in the window."""
+    got no CORRECTNESS row). Every key must sit inside that window, and
+    every rows-only key needs an SQL-checked sibling."""
     import importlib
+    import os
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     e = importlib.import_module("__ray_entry__")
     keys = list(e.queries().keys())
     sql = set(e.oracle_sql().keys())
-    window = keys[:50]
-
-    flagship = {
-        "kg_born_edges", "kg_partitioned_born_edges", "kg_partitioned_regex_mentions",
-        "kg_born_entities",
-        "kg_regex_mentions", "kg_gazetteer_mentions", "born_entity_pagerank",
-        "kg_split_docs_jsonl",                                 "dedup_incremental",                             }
-    missing = flagship - set(window)
-    assert not missing, f"flagship gates outside the driver window: {missing}"
+    assert len(keys) <= 50, f"{len(keys)} queries: keys past 50 get no driver check"
 
     siblings = {
         "kg_mentions": "kg_sentences_docs",
@@ -354,17 +346,12 @@ def test_driver_window_covers_flagship_gates():
         "kg_entities": "kg_born_entities",
         "kg_edges": "kg_born_edges",
         "kg_edges_emblink": "kg_born_edges_emblink",
-        "minhash_dedup": "minhash_selfdup_pairs",
-        "simhash_dedup": "simhash_selfdup_pairs",
-        "ngram_jaccard_dedup": "ngram_selfdup_pairs",
-        "embedding_neardup": "embedding_selfdup_pairs",
         "entity_pagerank": "born_entity_pagerank",
     }
-    for k in window:
+    for k in keys:
         if k in sql:
             continue
         sib = siblings.get(k)
-        assert sib is not None and sib in window and sib in sql, (
-            f"rows-only {k!r} in the driver window lacks an in-window "
-            f"SQL-checked sibling"
+        assert sib is not None and sib in keys and sib in sql, (
+            f"rows-only {k!r} lacks an SQL-checked sibling"
         )

@@ -1,4 +1,3 @@
-"""General-purpose Ray Data operators beyond the KG pipeline:
-relational (groupby/join/sort/dedup/window), text analysis, corpus
-deduplication (exact / MinHash-LSH / SimHash / n-gram Jaccard /
-embedding), similarity search, and multimodal column plumbing."""
+"""Beyond the KG job's own path: PageRank over its entity graph
+(``pagerank``), the reference's CoNLL/WikiNER corpus tooling
+(``corpus``), and the source-keyed caches the KG queries use (``io``)."""
