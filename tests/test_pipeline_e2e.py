@@ -6,12 +6,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from transner_ray.pipelines import kg
+from transner_ray.pipelines.builder import PipelineConfig, build_kg_pipeline
 
 
 @pytest.fixture(scope="module")
 def engine_out(pages_small):
     pages = kg.read_pages(pages_small)
-    d = kg.kg_datasets(pages, detect_concurrency=2)
+    d = build_kg_pipeline(pages, PipelineConfig(detect_concurrency=2))
     return {
         "mentions": d["mentions"].to_pandas(),
         "triples": d["triples"].to_pandas(),
@@ -131,7 +132,7 @@ def test_malformed_html_rows_dropped_not_fatal():
 def test_actor_pool_path_matches_tasks(pages_small):
     """The MentionDetector ACTOR-POOL stage (the BertTagger shape) must
     produce exactly what the task-based default produces."""
-    tasks = kg.kg_datasets(kg.read_pages(pages_small))["triples"].to_pandas()
+    tasks = build_kg_pipeline(kg.read_pages(pages_small))["triples"].to_pandas()
     pool = kg.linked_triples_dataset(
         kg.sentences_dataset(
             kg.read_pages(pages_small), detect_concurrency=2, use_actor_pool=True
@@ -147,7 +148,10 @@ def test_batch_size_invariance(pages_small):
     """Identical triples at batch_size 8 vs 256 (model-stage outputs
     must not depend on co-batched rows — SURVEY.md §4.3)."""
     def run(bs):
-        d = kg.kg_datasets(kg.read_pages(pages_small), detect_concurrency=2, detect_batch_size=bs)
+        d = build_kg_pipeline(
+            kg.read_pages(pages_small),
+            PipelineConfig(detect_concurrency=2, detect_batch_size=bs),
+        )
         t = d["triples"].to_pandas()
         return set(zip(t["subj_id"], t["pred"], t["obj_id"], t["url"], t["sent_idx"]))
 

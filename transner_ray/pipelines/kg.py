@@ -16,8 +16,10 @@ before the shuffle (SURVEY.md §4.2 skew notes).
 
 Two run modes:
 
-* ``kg_datasets(pages_ds)``: pure streaming lazy composition — used by
-  queries, tests and single-pass benches.
+* lazy composition: the ``*_dataset`` functions below, composed into
+  every output by ``builder.build_kg_pipeline(pages_ds, cfg)`` — used
+  by queries, tests and single-pass benches. Each consumed output
+  re-executes the shared spine.
 * ``run_partitioned(...)``: the resumable job — input files grouped
   into partitions, each processed to per-partition triples/mentions
   parquet with a lineage manifest (state/checkpoint.py) in ONE Ray
@@ -256,27 +258,6 @@ def write_graph(linked: rd.Dataset, out_dir: str) -> dict[str, int]:
         shutil.rmtree(final, ignore_errors=True)
         os.replace(tmp, final)
     return counts
-
-
-def kg_datasets(
-    pages: rd.Dataset,
-    detect_concurrency: int | tuple[int, int] | None = None,
-    detect_batch_size: int = 256,
-) -> dict[str, rd.Dataset]:
-    """Lazy composition of every stage output. NOTE: consuming more
-    than one of these executes the shared narrow spine once per
-    consumer — for multi-output runs use ``run_partitioned`` (which
-    derives every output of a partition in one execution) or consume
-    just one."""
-    sm = sentences_dataset(pages, detect_concurrency, detect_batch_size)
-    linked = linked_triples_dataset(sm)
-    return {
-        "sentence_mentions": sm,
-        "mentions": mentions_dataset(sm),
-        "triples": linked,
-        "entities": entities_dataset(linked),
-        "edges": edges_dataset(linked),
-    }
 
 
 # --------------------------------------------------------------------------
