@@ -415,3 +415,36 @@ def test_kill_between_sink_write_and_commit(workdir, oracle_small, monkeypatch):
     assert _rows(triples, TRIPLES.names) == _rows(oracle_small["triples"], TRIPLES.names)
     want = _rows(oracle_small["edges"], ["subj_id", "pred", "obj_id", "weight"])
     assert _rows(_edges(res["out_dir"]).to_dict("records"), ["subj_id", "pred", "obj_id", "weight"]) == want
+
+
+def test_run_entry_point_in_process(workdir, tmp_path, capsys):
+    """``python -m transner_ray.run`` (what ``ray job submit`` runs),
+    called in-process on the pytest session's Ray: its printed result
+    equals run_partitioned's, a rerun skips every partition, a glob
+    that matches nothing returns 2, and the caller's session survives."""
+    import ray
+
+    from transner_ray.run import main
+
+    glob_ = os.path.join(os.path.dirname(workdir["paths"][0]), "pages-*.parquet")
+    args = ["--input", glob_, "--ckpt-dir", workdir["ckpt"], "--num-partitions", "2"]
+
+    def run(argv):
+        code = main(argv)
+        assert ray.is_initialized()
+        return code, capsys.readouterr().out.strip().splitlines()
+
+    code, out = run(args)
+    assert code == 0
+    got = json.loads(out[-1])
+    want = kg.run_partitioned(workdir["paths"], str(tmp_path / "direct"), num_partitions=2)
+    assert got["ran"] == [0, 1] and got["skipped"] == []
+    assert (got["entities"], got["edges"]) == (want["entities"], want["edges"])
+    pd.testing.assert_frame_equal(_edges(got["out_dir"]), _edges(want["out_dir"]))
+
+    code, out = run(args)
+    rerun = json.loads(out[-1])
+    assert code == 0 and rerun["ran"] == [] and rerun["skipped"] == [0, 1]
+
+    missing = ["--input", str(tmp_path / "none-*.parquet"), "--ckpt-dir", workdir["ckpt"]]
+    assert run(missing)[0] == 2

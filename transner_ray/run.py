@@ -5,8 +5,9 @@ on a cluster (SURVEY.md §3.4): a resumable, partitioned KG-construction
 job with per-partition lineage manifests. Re-running the same command
 after a failure resumes — completed partitions are skipped.
 
-Owns its Ray session (guarded init, shutdown at exit) — library code
-never calls ray.init (driver contract).
+Starts a Ray session only when none is running, and shuts down only a
+session it started — library code never calls ray.init (driver
+contract).
 """
 
 from __future__ import annotations
@@ -36,11 +37,20 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
         if args.num_cpus:
             kwargs.update(address="local", num_cpus=args.num_cpus)
         ray.init(**kwargs)
+    try:
+        return _run(args)
+    finally:
+        if started:
+            ray.shutdown()
+
+
+def _run(args: argparse.Namespace) -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -68,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         input_format=args.input_format,
     )
     print(json.dumps(result))
-    ray.shutdown()
     return 0
 
 
