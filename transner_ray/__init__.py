@@ -18,8 +18,8 @@ Layout:
     stages/       Ray Data stages: extract, split, ner, decode, triples,
                   link, canonicalize, graph
     pipelines/    stage composition + checkpoint/manifest lifecycle
-    ops/          general-purpose operators (relational, dedup,
-                  similarity, textstats, multimodal)
+    ops/          PageRank over the KG's entity graph, CoNLL/WikiNER
+                  corpus tooling, source-keyed /tmp caches
     state/        checkpoint manifests + resume planner
 """
 

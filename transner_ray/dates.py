@@ -86,8 +86,8 @@ def make_dateparser_search_dates(lid_model=None) -> Callable:
 
 class FastTextLanguageID:
     """The fasttext language-ID stage (reference ner.py:93-96,
-    154-161), complete behind an import gate (fasttext is not
-    installed here). Its model is the ``lid_model`` that
+    154-161), complete behind an import gate for the optional fasttext
+    package. Its model is the ``lid_model`` that
     ``make_dateparser_search_dates`` takes.
 
     Actor-pool shape: ``lid.176.bin`` loads ONCE per actor in
@@ -112,9 +112,9 @@ class FastTextLanguageID:
             import fasttext
         except ImportError as exc:
             raise NotImplementedError(
-                "FastTextLanguageID needs the fasttext package (not "
-                "installed). The code behind this gate is complete; pass "
-                "the language explicitly instead."
+                "FastTextLanguageID needs the fasttext package. The code "
+                "behind this gate is complete; pass the language "
+                "explicitly instead."
             ) from exc
         from .tagger import resolve_artifact_path
 

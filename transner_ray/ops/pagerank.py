@@ -4,8 +4,9 @@ The engine's KG output is an edge list (subj_id, pred, obj_id,
 weight); the first analysis every KG consumer runs on it is a
 centrality ranking. This operator is the beyond-reference graph-
 analytics layer: weighted PageRank with damping and dangling-mass
-redistribution, expressed in the repo's partitioned hash-aggregate
-idiom.
+redistribution, expressed as bucketed hash-aggregates: rows get a
+``hash(key) % num_buckets`` column, and one vectorized pandas call per
+bucket reduces every key in it.
 
 Per iteration, TWO bucketed shuffles:
 
