@@ -9,7 +9,7 @@ default the CPUs this process may run on, and prints ONE JSON line:
    "docs_per_sec": ..., "triples_per_sec": ...}
 
 ``--scaling``: runs the headline KG pipeline in FRESH processes at
-num_cpus=N and num_cpus=4N on the same input (the sandbox proxy for
+num_cpus=N and num_cpus=4N on the same input (the single-host proxy for
 the N-vs-4N cluster-size criterion; N defaults to a quarter of the
 usable CPUs) and prints throughputs + scaling efficiency.
 """

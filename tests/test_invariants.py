@@ -337,7 +337,7 @@ def test_driver_window_covers_flagship_gates():
     e = importlib.import_module("__ray_entry__")
     keys = list(e.queries().keys())
     sql = set(e.oracle_sql().keys())
-    assert len(keys) <= 50, f"{len(keys)} queries: keys past 50 get no driver check"
+    assert len(keys) <= 50, f"{len(keys)} queries: keys past 50 go unchecked"
 
     siblings = {
         "kg_mentions": "kg_sentences_docs",

@@ -279,10 +279,10 @@ def test_cache_dir_keyed_by_abs_path_and_fingerprint(tmp_path):
 
 
 def test_scaled_fanout_grows_with_input():
-    """VERDICT r2 #1: reduce fan-out must scale with input size — fixed
-    64-bucket reduces cap the wide phase at 64 tasks at 100 TB. Floors
-    hold at sandbox scale (no small-sf regression); growth is linear
-    above the knee; the cap bounds task-count explosion."""
+    """Reduce fan-out must scale with input size — a fixed 64-bucket
+    reduce caps a shuffle at 64 tasks at 100 TB. Floors hold at small
+    inputs (no small-sf regression); growth is linear above the knee;
+    the cap bounds task-count explosion."""
     from transner_ray.ops.pagerank import (
         MAX_BUCKETS,
         NUM_AGG_BUCKETS,

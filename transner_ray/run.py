@@ -6,8 +6,7 @@ job with per-partition lineage manifests. Re-running the same command
 after a failure resumes — completed partitions are skipped.
 
 Starts a Ray session only when none is running, and shuts down only a
-session it started — library code never calls ray.init (driver
-contract).
+session it started; library code never calls ray.init.
 """
 
 from __future__ import annotations
