@@ -89,12 +89,6 @@ def test_exact_dedup_vs_duckdb(con):
     _check(dedup.exact_dedup, dedup.EXACT_DEDUP_SQL, con)
 
 
-def test_ann_brute_force_vs_duckdb(con):
-    from transner_ray.ops import similarity
-
-    _check(similarity.brute_force_topk, similarity.brute_force_topk_sql(), con)
-
-
 def test_media_metadata_vs_duckdb(con):
     from transner_ray.ops import multimodal
 
@@ -450,14 +444,6 @@ def test_dedup_invariant_to_block_count(monkeypatch):
     pd.testing.assert_frame_equal(results[0], results[1])
 
 
-def test_ann_ivf_recall():
-    from transner_ray.ops import similarity
-
-    exact = set(similarity.brute_force_topk(SF, k=10)["vec_id"])
-    approx = set(similarity.ivf_topk(SF, k=10)["vec_id"])
-    assert len(exact & approx) / 10 >= 0.6  # documented recall tradeoff
-
-
 def test_hll_distributed_equals_oracle_and_exact_bound(con):
     """HLL merge must equal the sequential oracle EXACTLY (register
     max is order-free) and land within the published error bound of
@@ -542,40 +528,6 @@ def test_entity_pagerank_over_kg_edges():
     got = pr.entity_pagerank(SF).to_pandas()
     assert abs(got["rank"].sum() - 1.0) < 1e-6
     assert got["entity_id"].is_unique and len(got) > 100
-
-
-def test_kmeans_vs_sequential_oracle():
-    """Distributed Lloyd fit must equal the same-arithmetic sequential
-    oracle EXACTLY — the integer-quantized centroid sums make the fit
-    order-independent, so this is frame equality, not allclose."""
-    from transner_ray.ops import similarity
-
-    got = similarity.kmeans_embeddings(SF).to_pandas().reset_index(drop=True)
-    want = similarity.kmeans_oracle(SF).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-
-
-def test_kmeans_recovers_planted_clusters(tmp_path):
-    """On a corpus with genuinely separated clusters, the fit must
-    recover the planted partition exactly (up to label renaming)."""
-    from transner_ray.ops import similarity
-
-    rng = np.random.default_rng(5)
-    centers = np.eye(3, 16) * 10.0  # far-apart anchors in 16-d
-    X = np.vstack([centers[i % 3] + rng.normal(0, 0.1, 16) for i in range(90)])
-    t = pa.table(
-        {
-            "vec_id": pa.array(np.arange(90), pa.int64()),
-            "embedding": pa.array([list(map(float, r)) for r in X],
-                                  pa.list_(pa.float32())),
-        }
-    )
-    pq.write_table(t, str(tmp_path / "embeddings.parquet"))
-    got = similarity.kmeans_embeddings(str(tmp_path), k=3, iters=5).to_pandas()
-    planted = got["vec_id"].to_numpy() % 3
-    # same partition: each fitted cluster maps to exactly one planted id
-    tab = pd.crosstab(got["cluster"], planted)
-    assert (tab.gt(0).sum(axis=1) == 1).all() and tab.shape[0] == 3
 
 
 def test_multimodal_roundtrip_and_resize():
@@ -749,161 +701,6 @@ def _unionfind_components(a, b) -> pd.DataFrame:
         .sort_values("node")
         .reset_index(drop=True)
     )
-
-
-def test_connected_components_vs_unionfind():
-    """Star-contraction CC equals the sequential union-find oracle on
-    a random graph, a long path (max diameter — the adversarial case),
-    and a clique (max duplicate re-emission); bucket-count invariant."""
-    import ray.data as rd
-
-    from transner_ray.ops.cc import connected_components
-
-    def run(a, b, **kw):
-        ds = rd.from_pandas(pd.DataFrame({"doc_a": a, "doc_b": b}))
-        kw.setdefault("force_distributed", True)  # drive the star rounds
-        return (
-            connected_components(ds, **kw)
-            .to_pandas()
-            .sort_values("node")
-            .reset_index(drop=True)
-        )
-
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 300, 400)
-    b = rng.integers(0, 300, 400)
-    pd.testing.assert_frame_equal(run(a, b), _unionfind_components(a, b))
-
-    path_a = np.arange(0, 63)
-    path_b = np.arange(1, 64)
-    pd.testing.assert_frame_equal(
-        run(path_a, path_b), _unionfind_components(path_a, path_b)
-    )
-
-    cl = np.array([(x, y) for x in range(20) for y in range(20) if x != y])
-    pd.testing.assert_frame_equal(
-        run(cl[:, 0], cl[:, 1]), _unionfind_components(cl[:, 0], cl[:, 1])
-    )
-
-    # bucket-count invariance (keys never split; mins are associative)
-    pd.testing.assert_frame_equal(
-        run(a, b, num_buckets=3), run(a, b, num_buckets=16)
-    )
-
-    # sub-CC_EXACT_MAX driver fast path must agree with the star rounds
-    pd.testing.assert_frame_equal(
-        run(a, b, force_distributed=False), _unionfind_components(a, b)
-    )
-
-
-def test_connected_components_empty_pairs():
-    import ray.data as rd
-
-    from transner_ray.ops.cc import connected_components
-
-    ds = rd.from_pandas(pd.DataFrame({"doc_a": [7], "doc_b": [7]}))  # self-loop only
-    got = connected_components(ds).to_pandas()
-    # (fully-empty Ray datasets drop column metadata in to_pandas —
-    # only emptiness is assertable)
-    assert len(got) == 0
-
-
-def test_doc_chain_components_vs_duckdb(con):
-    """The SQL-checked path-graph gate for the CC machinery."""
-    from transner_ray.ops import cc
-
-    _check(cc.doc_chain_components, cc.DOC_CHAIN_COMPONENTS_SQL, con)
-
-
-def test_doc_chain_components_partial_decade(tmp_path):
-    """Regression (review finding): a corpus whose size is NOT a
-    multiple of 10 must not emit a phantom (max_id, max_id+1) edge,
-    and a last doc that opens a decade alone is a singleton absent
-    from the output — both sides of the oracle agree for any N."""
-    import duckdb
-
-    from transner_ray.ops import cc
-
-    for n in (25, 31):  # partial decade; singleton last decade (30)
-        d = tmp_path / f"n{n}"
-        d.mkdir()
-        pq.write_table(
-            pa.table({"doc_id": pa.array(range(n), pa.int64()),
-                      "text": pa.array(["x"] * n)}),
-            str(d / "documents.parquet"),
-        )
-        got = cc.doc_chain_components(str(d)).to_pandas().reset_index(drop=True)
-        con = duckdb.connect()
-        con.sql(
-            f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"
-        )
-        want = _norm(con.sql(cc.DOC_CHAIN_COMPONENTS_SQL).df())
-        pd.testing.assert_frame_equal(_norm(got), want)
-        assert got["node"].max() == (n - 1 if (n - 1) % 10 != 0 else n - 2)
-
-
-def test_doc_chain_components_replicas(tmp_path):
-    """The bench amortization knob (VERDICT r3 #7): replicas=R tiles
-    the path graph across disjoint id ranges — R× the rows, identical
-    component structure per tile (node r·span+d → component
-    r·span + (d - d%10)), same star-round count."""
-    from transner_ray.ops import cc
-
-    n = 25
-    d = tmp_path / "rep"
-    d.mkdir()
-    pq.write_table(
-        pa.table({"doc_id": pa.array(range(n), pa.int64()),
-                  "text": pa.array(["x"] * n)}),
-        str(d / "documents.parquet"),
-    )
-    base = cc.doc_chain_components(str(d)).to_pandas()
-    got = cc.doc_chain_components(str(d), replicas=3).to_pandas()
-    assert len(got) == 3 * len(base)
-    span = n  # max_id + 1
-    for r in range(3):
-        tile = got[(got["node"] >= r * span) & (got["node"] < (r + 1) * span)]
-        tile = tile.sort_values("node").reset_index(drop=True)
-        assert (tile["node"].to_numpy() - r * span == base["node"].to_numpy()).all()
-        assert (
-            tile["component"].to_numpy() - r * span == base["component"].to_numpy()
-        ).all()
-
-
-def test_kmeans_init_with_shifted_vec_ids(tmp_path):
-    """Regression (review finding): init must be the k LOWEST vec_ids,
-    not `vec_id < k` — a 1-based or sparse id space must still fit."""
-    from transner_ray.ops import similarity
-
-    rng = np.random.default_rng(3)
-    ids = np.arange(100, 190)  # no id < k exists
-    X = rng.normal(0, 1, (90, 8))
-    pq.write_table(
-        pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": pa.array([list(map(float, r)) for r in X],
-                                      pa.list_(pa.float32())),
-            }
-        ),
-        str(tmp_path / "embeddings.parquet"),
-    )
-    got = similarity.kmeans_embeddings(str(tmp_path), k=4, iters=2).to_pandas()
-    want = similarity.kmeans_oracle(str(tmp_path), k=4, iters=2)
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), want.reset_index(drop=True)
-    )
-
-
-def test_neardup_clusters_matches_pairs():
-    """neardup_clusters must equal union-find over the verified
-    minhash pair list (same corpus, same threshold)."""
-    from transner_ray.ops import cc, dedup
-
-    pairs = dedup.minhash_dedup(SF).to_pandas()
-    got = cc.neardup_clusters(SF).to_pandas().reset_index(drop=True)
-    want = _unionfind_components(pairs["doc_a"], pairs["doc_b"])
-    pd.testing.assert_frame_equal(got, want)
 
 
 def test_born_carrier_buffer_word_is_load_bearing():
@@ -1139,88 +936,6 @@ def test_stratified_sample_rates(tmp_path):
     assert len(out) == n // 2
     again = traindata.stratified_sample(str(tmp_path), rates=rates).to_pandas()
     pd.testing.assert_frame_equal(out, again)
-
-
-# --------------------------------------------------------------- joins
-
-
-def test_asof_last_order_vs_duckdb(con):
-    from transner_ray.ops import joins
-
-    _check(joins.last_order_before_event, joins.ASOF_LAST_ORDER_SQL, con)
-
-
-def test_range_join_windows_vs_duckdb(con):
-    from transner_ray.ops import joins
-
-    _check(joins.range_join_windows, joins.RANGE_JOIN_WINDOWS_SQL, con)
-
-
-def test_asof_join_bucket_count_invariant():
-    """The bucketed merge_asof is exact per key, so the result must not
-    depend on the shuffle fan-out."""
-    from transner_ray.ops import joins
-
-    base = (
-        joins.last_order_before_event(SF).to_pandas().reset_index(drop=True)
-    )
-    for nb in (1, 7):
-        alt = (
-            joins.asof_join(
-                joins._read(SF, "events", ["event_id", "ts", "user_id"]),
-                joins._read(
-                    SF, "orders",
-                    ["o_custkey", "o_orderdate", "o_orderkey", "o_totalprice"],
-                ),
-                left_by="user_id",
-                right_by="o_custkey",
-                left_on="ts",
-                right_on="o_orderdate",
-                left_cols=["event_id"],
-                right_cols=["o_orderkey", "o_totalprice"],
-                tiebreak="o_orderkey",
-                num_buckets=nb,
-            )
-            .to_pandas()
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-        assert len(alt) == len(base)
-        assert (alt["event_id"].to_numpy().astype("int64")
-                == base["event_id"].to_numpy()).all()
-        assert (alt["o_orderkey"].to_numpy().astype("int64")
-                == base["last_orderkey"].to_numpy()).all()
-
-
-def test_asof_join_tie_and_miss_semantics(tmp_path):
-    """Order-date ties resolve to the max tiebreak; left rows earlier
-    than every right row are dropped (inner semantics)."""
-    from transner_ray.ops import joins
-    import ray.data as rd
-
-    left = rd.from_pandas(pd.DataFrame({
-        "user_id": [1, 1, 2],
-        "ts": pd.to_datetime(["2024-01-10", "2024-01-01", "2024-01-10"]),
-        "event_id": [100, 101, 102],
-    }))
-    right = rd.from_pandas(pd.DataFrame({
-        "o_custkey": [1, 1, 2],
-        "o_orderdate": pd.to_datetime(["2024-01-05", "2024-01-05", "2024-02-01"]),
-        "o_orderkey": [7, 9, 3],
-        "o_totalprice": [10.0, 20.0, 30.0],
-    }))
-    out = joins.asof_join(
-        left, right,
-        left_by="user_id", right_by="o_custkey",
-        left_on="ts", right_on="o_orderdate",
-        left_cols=["event_id"], right_cols=["o_orderkey", "o_totalprice"],
-        tiebreak="o_orderkey", num_buckets=4,
-    ).to_pandas().sort_values("event_id").reset_index(drop=True)
-    # event 100: tie on 2024-01-05 -> orderkey 9 (max); event 101: no
-    # order yet -> dropped; event 102: right row is in the future -> dropped
-    assert out["event_id"].astype("int64").tolist() == [100]
-    assert out["o_orderkey"].astype("int64").tolist() == [9]
-    assert out["o_totalprice"].tolist() == [20.0]
 
 
 # ------------------------------------------------- indexing + quantiles
@@ -1535,43 +1250,6 @@ def test_events_pivot_vs_duckdb(con):
     _check(relational.events_pivot, relational.EVENTS_PIVOT_SQL, con)
 
 
-def test_ann_ivf_index_exact_vs_duckdb(con):
-    import shutil
-
-    from transner_ray.ops import similarity
-    from transner_ray.ops.io import cache_dir_for
-
-    shutil.rmtree(
-        cache_dir_for("/tmp/transner_ray_ivf", f"{SF}/embeddings.parquet"),
-        ignore_errors=True,
-    )
-    _check(similarity.ann_ivf_index, similarity.brute_force_topk_sql(), con)
-    _check(similarity.ann_ivf_index, similarity.brute_force_topk_sql(), con)  # warm index reuse
-
-
-def test_ann_ivf_index_partition_pruned_recall():
-    """Approximate mode must read only the probed partitions and still
-    recover most of the exact top-k."""
-    from transner_ray.ops import similarity
-
-    from transner_ray.ops.io import cache_dir_for
-
-    exact = similarity.ann_ivf_index(SF)  # ensures the index exists
-    approx = similarity.ivf_index_topk(
-        cache_dir_for("/tmp/transner_ray_ivf", f"{SF}/embeddings.parquet"),
-        SF,
-        nprobe=4,
-    )
-    rec = len(set(exact["vec_id"]) & set(approx["vec_id"])) / len(exact)
-    assert rec >= 0.6
-
-
-def test_quality_checks_vs_duckdb(con):
-    from transner_ray.ops import validate
-
-    _check(validate.quality_checks, validate.QUALITY_CHECKS_SQL, con)
-
-
 def test_dedup_incremental_vs_duckdb(con):
     from transner_ray.ops import dedup
 
@@ -1706,38 +1384,6 @@ def test_bpe_incremental_equals_naive_randomized():
         pd.testing.assert_frame_equal(a, b)
 
 
-def test_append_to_ivf_index_vectors_searchable():
-    """Appended vectors join the index with no rebuild: a copy of the
-    query vector appended under a new vec_id must come back at rank 1
-    with cosine 1.0 in exact mode (nprobe = all lists)."""
-    import ray.data as rd
-
-    from transner_ray.ops import similarity
-
-    from transner_ray.ops.io import cache_dir_for
-
-    idx_dir = cache_dir_for("/tmp/transner_ray_ivf", f"{SF}/embeddings.parquet")
-    similarity.ann_ivf_index(SF)  # ensures the index exists (build-once)
-    before = similarity.ivf_index_topk(idx_dir, SF, k=5, query_vec_id=0, nprobe=16)
-    assert 1_000_000 not in set(before["vec_id"])
-
-    q = similarity._query_vector(SF, 0)
-    res = similarity.append_to_ivf_index(
-        rd.from_pandas(
-            pd.DataFrame({"vec_id": [1_000_000], "embedding": [list(map(float, q))]})
-        ),
-        idx_dir,
-    )
-    assert res == {"appended": 1}
-    after = similarity.ivf_index_topk(idx_dir, SF, k=5, query_vec_id=0, nprobe=16)
-    assert after["vec_id"].iloc[0] == 1_000_000
-    assert after["cosine"].iloc[0] == 1.0
-    # leave the index clean for the other tests (build-once semantics)
-    import shutil
-
-    shutil.rmtree(idx_dir, ignore_errors=True)
-
-
 def test_chunk_documents_vs_duckdb(con):
     from transner_ray.ops import traindata
 
@@ -1763,40 +1409,6 @@ def test_chunk_documents_overlap_property():
     last = mine.iloc[-1]["chunk_text"].split(" ")
     rebuilt.extend(last[5:])
     assert rebuilt == words
-
-
-def test_ann_filtered_vs_duckdb(con):
-    from transner_ray.ops import similarity
-
-    _check(
-        lambda sf: similarity.filtered_topk(sf, label=1),
-        similarity.filtered_topk_sql(label=1),
-        con,
-    )
-
-
-def test_ann_filtered_respects_label():
-    from transner_ray.ops import similarity
-
-    out = similarity.filtered_topk(SF, k=10, label=2)
-    emb = pd.read_parquet(f"{SF}/embeddings.parquet", columns=["vec_id", "label"])
-    lab = dict(zip(emb["vec_id"], emb["label"]))
-    assert all(lab[v] == 2 for v in out["vec_id"])
-    assert len(out) == 10
-
-
-def test_kmeans_checkpoint_path_equals_default(tmp_path):
-    """The opt-in parquet checkpoint (iterated dataset re-read from
-    the checkpoint each Lloyd pass, nothing pinned in the object
-    store) is bit-identical to the default re-read-source path —
-    int64-quantized sums are order-free across any block split."""
-    from transner_ray.ops import similarity
-
-    a = similarity.kmeans_embeddings(SF).to_pandas()
-    b = similarity.kmeans_embeddings(
-        SF, checkpoint_dir=str(tmp_path / "kmeans_ck")
-    ).to_pandas()
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_minhash_checkpoint_path_equals_default(tmp_path):
@@ -1839,20 +1451,6 @@ def test_cache_dir_keyed_by_abs_path_and_fingerprint(tmp_path):
     st = os.stat(src)
     os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns - 10_000_000_000))
     assert not cache_is_fresh(marker, source_fingerprint(str(src)))
-
-
-def test_kg_born_edges_joinlink_vs_duckdb(con):
-    """The shuffle-join linker (linking.link_triples_via_join, plan B
-    for a broadcast-too-big alias table) through the full born chain:
-    must equal the alias-broadcast oracle edges exactly."""
-    import importlib
-
-    e = importlib.import_module("__ray_entry__")
-    _check(
-        e.queries()["kg_born_edges_joinlink"],
-        e.oracle_sql()["kg_born_edges_joinlink"],
-        con,
-    )
 
 
 def test_token_counts_bpe_vs_duckdb(con):

@@ -19,7 +19,8 @@ Layout:
                   link, canonicalize, graph
     pipelines/    stage composition + checkpoint/manifest lifecycle
     ops/          PageRank over the KG's entity graph, CoNLL/WikiNER
-                  corpus tooling, source-keyed /tmp caches
+                  corpus tooling, /tmp caches, and corpus-curation
+                  operators (relational, dedup, textstats, multimodal, ...)
     state/        checkpoint manifests + resume planner
 """
 

@@ -86,3 +86,16 @@ ALIASES = {
     "banca unicredit spa": "unicredit",
     "autostrade per": "autostrade",
 }
+
+# ---- stopword sets for the language-ID heuristic (ops/textstats.py) -------
+STOPWORDS = {
+    "en": frozenset(
+        "the of and to in a is that it was for on are as with his they at be this from or had by".split()
+    ),
+    "it": frozenset(
+        "il di e che la in un a per è una sono con non le si della nel da lo".split()
+    ),
+    "nl": frozenset(
+        "de van het een en in is dat op te zijn met voor niet aan er om door maar".split()
+    ),
+}

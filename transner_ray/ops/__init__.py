@@ -1,3 +1,6 @@
-"""Beyond the KG job's own path: PageRank over its entity graph
-(``pagerank``), the reference's CoNLL/WikiNER corpus tooling
-(``corpus``), and the source-keyed caches the KG queries use (``io``)."""
+"""Ray Data operators beside the KG pipeline: PageRank over its entity
+graph (``pagerank``), the reference's CoNLL/WikiNER corpus tooling
+(``corpus``), read sizing and source-keyed caches (``io``), and the
+corpus-curation families the KG job does not run: relational, text
+analysis, deduplication, training-data curation, packing, BPE,
+sketches, indexing, quantiles and multimodal column plumbing."""

@@ -301,7 +301,7 @@ def bm25_topk(
     k: int = BM25_TOP_K,
 ) -> pd.DataFrame:
     """Text retrieval: global top-k documents by BM25 against a fixed
-    term query — the text-side sibling of ``ops/similarity``'s ANN.
+    term query.
 
     Two passes, both scale-safe:
 

@@ -47,46 +47,14 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from .agg import scaled_num_buckets
+from .dedup import _mix64
+
 PR_DAMPING = 0.85
 PR_ITERS = 10
 PR_FLOOR_BUCKETS = 16
 PR_EXACT_MAX = 1 << 20
 _QS = float(1 << 40)  # fixed-point scale for order-free sums
-
-NUM_AGG_BUCKETS = 64  # default floor of scaled_num_buckets
-# Target input rows per reduce bucket: a bucket reduce materializes one
-# pandas DataFrame of everything hashed into it, so ~256k short rows
-# keeps a task in the tens of MB.
-ROWS_PER_BUCKET = 1 << 18
-MAX_BUCKETS = 1 << 17  # beyond ~131k reduce tasks, let buckets grow instead
-
-
-def scaled_num_buckets(
-    n_rows: int | None,
-    floor: int = NUM_AGG_BUCKETS,
-    rows_per_bucket: int = ROWS_PER_BUCKET,
-    cap: int = MAX_BUCKETS,
-) -> int:
-    """Reduce fan-out derived from INPUT SIZE: buckets grow linearly
-    with the data above ``floor × rows_per_bucket`` rows, so at 10^9+
-    edges the reduce is thousands of bounded tasks instead of a fixed
-    few each materializing a slice of the graph. None falls back to
-    the floor. Ranks are bucket-count-invariant (keys never split
-    across buckets), so results don't depend on the knob."""
-    if not n_rows or n_rows <= 0:
-        return floor
-    return int(min(cap, max(floor, n_rows // rows_per_bucket)))
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
 
 
 def _q_round(x):

@@ -372,58 +372,3 @@ FROM (
   FROM documents
 )
 """
-
-
-# --------------------------------------------- fasttext LID (actor pool)
-
-
-class FastTextLanguageID:
-    """The REAL fasttext language-ID stage (reference ner.py:93-96,
-    154-161), complete behind an import gate (fasttext is not in this
-    sandbox — ``language_guess`` above is the heuristic stand-in).
-
-    Actor-pool shape: ``lid.176.bin`` loads ONCE per actor in
-    ``__init__``; ``__call__`` tags an Arrow batch with one batched
-    ``predict`` call. The model file resolves through
-    ``tagger.resolve_artifact_path`` (local path → cache dir →
-    optional registry fetch via $TRANSNER_RAY_MODEL_REGISTRY — the
-    reference downloads it from the fasttext CDN at ner.py:156-161).
-    Usage::
-
-        ds.map_batches(FastTextLanguageID, fn_constructor_kwargs={
-            "model_path": "/models/lid.176.bin"},
-            concurrency=8, batch_format="pyarrow")
-
-    Prediction mirrors the reference exactly: the alnum-cleaned text
-    (``re.sub(r'[^a-zA-Z0-9 ]', '', s)``) goes to ``predict(k=1)`` and
-    the ``__label__`` prefix is stripped (ner.py:277-278).
-    """
-
-    def __init__(self, model_path: str = "lid.176.bin", text_col: str = "text"):
-        try:
-            import fasttext
-        except ImportError as exc:
-            raise NotImplementedError(
-                "FastTextLanguageID needs the fasttext package (not in this "
-                "sandbox). The code behind this gate is complete; use "
-                "language_guess (stopword heuristic) instead."
-            ) from exc
-        from ..tagger import resolve_artifact_path
-
-        self.model = fasttext.load_model(resolve_artifact_path(model_path))
-        self.text_col = text_col
-
-    def __call__(self, batch: "pa.Table") -> "pa.Table":
-        import re as _re
-
-        import pyarrow as pa
-
-        cleaned = [
-            _re.sub(r"[^a-zA-Z0-9 ]", "", t or "")
-            for t in batch.column(self.text_col).to_pylist()
-        ]
-        labels, _probs = self.model.predict(cleaned, k=1)
-        langs = [
-            _re.sub("__label__", "", ls[0]) if ls else None for ls in labels
-        ]
-        return batch.append_column("ft_lang", pa.array(langs, pa.string()))
