@@ -40,9 +40,7 @@ def _kg_pages_paths(sf_dir: str) -> list[str]:
 def _kg_spine(sf_dir: str):
     from transner_ray.pipelines import kg
 
-    return kg.sentences_dataset(
-        kg.read_pages(_kg_pages_paths(sf_dir)), detect_concurrency=(1, 4)
-    )
+    return kg.sentences_dataset(kg.read_pages(_kg_pages_paths(sf_dir)))
 
 
 def _kg_linked(sf_dir: str):
@@ -71,7 +69,7 @@ def entry() -> Any:
 
     pages = kg.read_pages(_kg_pages_paths("/root/testdata/sf0.001"))
     return kg.edges_dataset(
-        kg.linked_triples_dataset(kg.sentences_dataset(pages, detect_concurrency=(1, 4)))
+        kg.linked_triples_dataset(kg.sentences_dataset(pages))
     )
 
 

@@ -103,12 +103,15 @@ def _linked_and_oracle():
     return linked, (_norm_entities(oracle["entities"]), _norm_edges(oracle["edges"]))
 
 
-def test_wide_phase_block_layout_invariant():
+def test_wide_phase_block_layout_invariant(tmp_path):
     """The one-shuffle wide phase reduces each sorted block in one call,
     which is exact only if no key straddles two reduce blocks. The same
     linked triples as one block, as ~37-row blocks, and with a tiny
     target block size must give identical entities and edges, equal to
-    the oracle."""
+    the oracle. At 40+ reduce blocks the edges also keep the sort's
+    order with no second sort: lazily, and on disk in file-name order."""
+    import glob
+
     import pyarrow as pa
     import ray
     import ray.data as rd
@@ -141,6 +144,19 @@ def test_wide_phase_block_layout_invariant():
         ctx.target_max_block_size = saved
     assert one == many == tiny == want
     assert many_blocks >= 40 and tiny_blocks >= 40, (many_blocks, tiny_blocks)
+
+    lazy = kg.edges_dataset(rd.from_arrow(slices)).to_pandas()["subj_id"].tolist()
+    assert lazy == sorted(lazy) and len(lazy) == len(want[1])
+    out = tmp_path / "out"
+    counts = kg.write_graph(rd.from_arrow(slices), str(out))
+
+    edge_files = sorted(glob.glob(str(out / "edges" / "*.parquet")))
+    edges = [r for f in edge_files for r in pq.read_table(f).to_pylist()]
+    subj = [r["subj_id"] for r in edges]
+    assert len(edge_files) >= 20 and subj == sorted(subj), len(edge_files)
+    entities = pq.read_table(str(out / "entities")).to_pylist()
+    assert (_norm_entities(entities), _norm_edges(edges)) == want
+    assert counts == {"entities": len(want[0]), "edges": len(want[1])}
     # an empty batch, with or without columns, reduces to the fixed schema
     assert graph.reduce_graph_block(pa.table({})).schema == graph.GRAPH
     empty = graph.GRAPH_PARTIALS.empty_table()

@@ -283,6 +283,33 @@ def test_narrow_phase_one_execution_per_partition(workdir, monkeypatch, write_me
     assert {d for d in os.listdir(workdir["ckpt"]) if d not in ("manifest", "out")} == stages
 
 
+def test_wide_phase_one_execution(workdir, monkeypatch):
+    """The wide phase is ONE Ray Data execution: one sort, one reduce
+    and one write into both outputs, with nothing materialized to be
+    re-read. A no-change rerun therefore runs exactly one execution."""
+    calls, wide = [], []
+    materialize, write_graph = rd.Dataset.materialize, kg.write_graph
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    def counted_wide(linked, out_dir):
+        before = len(calls)
+        counts = write_graph(linked, out_dir)
+        wide.append(len(calls) - before)
+        return counts
+
+    monkeypatch.setattr(rd.Dataset, "materialize", counted)
+    monkeypatch.setattr(kg, "write_graph", counted_wide)
+    first = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    assert first["ran"] == [0, 1, 2] and len(calls) == 4
+    rerun = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    assert rerun["skipped"] == [0, 1, 2] and len(calls) == 5
+    assert wide == [1, 1]
+    assert (rerun["entities"], rerun["edges"]) == (first["entities"], first["edges"])
+
+
 def test_partition_outputs_equal_kernels_and_oracle(workdir, oracle_small):
     """The committed mentions and triples are the stage kernels' output
     over the spine collected into this process, and the mentions are
@@ -325,7 +352,7 @@ def test_sink_retried_write_overwrites_its_file(tmp_path, pages_small):
     sm = make_detect_fn()(split_sentences_batch(extract_text_batch(pages)))
     rows = kg.partition_rows_batch(sm, write_mentions=True)
     dirs = [str(tmp_path / stage) for stage in kg.PARTITION_OUTPUTS]
-    sink = kg.PartitionSink(dirs)
+    sink = kg.TaggedSink(dirs, list(kg.PARTITION_OUTPUTS.values()))
     sink.on_write_start()
     ctx = TaskContext(task_idx=7, op_name="Write")
     for _ in range(2):

@@ -4,15 +4,14 @@
     pool) → [explode → mentions] / [triples (T) → link (L)] →
     canonicalize (C) + edges (G): union-tagged combiner partials →
     sort('key') → one Arrow reduce per block → entities / edges
-    (+ sort('subj_id')) → write_parquet
 
-Narrow stages are all ``map_batches`` over Arrow batches. The wide
-phase shuffles once: entity and edge partials both key on an entity id
+Narrow stages are all ``map_batches`` over Arrow batches. The job
+shuffles once: entity and edge partials both key on an entity id
 (``entity_id``, ``subj_id``), so one sort on that key co-locates both
 kinds of group and one vectorized call per sorted block reduces them
-(stages/graph.py). The only other shuffle is the global sort of the
-reduced edge table. The per-block combiner collapses the Zipf head
-before the shuffle (SURVEY.md §4.2 skew notes).
+(stages/graph.py). The same sort leaves the edges globally sorted by
+``subj_id``. The per-block combiner collapses the Zipf head before the
+shuffle (SURVEY.md §4.2 skew notes).
 
 Two run modes:
 
@@ -25,9 +24,9 @@ Two run modes:
   parquet with a lineage manifest (state/checkpoint.py) in ONE Ray
   Data execution: the spine, one map that derives every output as
   union-tagged rows, and a sink that routes them to their stage dirs
-  (``PartitionSink``). The wide phase (entities/edges) then runs over
-  all partition outputs. A killed run re-runs only partitions without
-  manifests.
+  (``TaggedSink``). The wide phase (entities/edges) then runs over
+  all partition outputs, also as one execution through the same sink.
+  A killed run re-runs only partitions without manifests.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import ray.data as rd
 from ray.data.block import BlockAccessor
 
 from ..gazetteers import default_gazetteers
-from ..schemas import MENTIONS
+from ..schemas import EDGES, ENTITIES, MENTIONS
 from ..stages.detect import MentionDetector, explode_mentions_batch
 from ..stages.extract import extract_text_batch
 from ..stages.graph import (
@@ -95,10 +94,11 @@ def sentences_dataset(
     far exceeds the CPU count. ``use_actor_pool=True`` switches to the
     ``MentionDetector`` actor pool (the shape the BertTagger GPU stage
     uses: model load amortized across batches, ``concurrency`` ×
-    ``num_gpus`` sized to the cluster). On a GPU cluster pass
-    ``tagger='bert', model_path=..., detect_num_gpus=1`` — the actor
-    pool is forced on and each actor loads the model once (docs/
-    SCALE.md "GPU on-ramp"). ``gazetteers`` overrides the
+    ``num_gpus`` sized to the cluster). ``detect_concurrency`` sizes
+    only that actor pool; the task path does not read it. On a GPU
+    cluster pass ``tagger='bert', model_path=..., detect_num_gpus=1`` —
+    the actor pool is forced on and each actor loads the model once
+    (docs/SCALE.md "GPU on-ramp"). ``gazetteers`` overrides the
     default lookup state (custom religion/city sets — also how the
     SQL-checked gazetteer-mention gate injects a corpus-vocabulary
     set).
@@ -202,7 +202,9 @@ def graph_dataset(linked: rd.Dataset) -> rd.Dataset:
     never splits a key across output blocks and ``batch_size=None``
     hands the reduce whole blocks — the guarantee
     ``GroupedData.map_groups`` builds on — so every group is reduced
-    exactly once, in one Python call per block, never one per key."""
+    exactly once, in one Python call per block, never one per key.
+    The sort also orders the edges by subj_id (their ``key``): Ray runs
+    a plan with a Sort under ``preserve_order``, so blocks keep its order."""
     return (
         linked.map_batches(graph_partials_batch, batch_format="pyarrow")
         .sort("key")
@@ -210,23 +212,14 @@ def graph_dataset(linked: rd.Dataset) -> rd.Dataset:
     )
 
 
-def _entities(graph: rd.Dataset) -> rd.Dataset:
-    return graph.map_batches(entity_rows, batch_format="pyarrow")
-
-
-def _edges(graph: rd.Dataset) -> rd.Dataset:
-    """Edges, globally sorted by subj_id (the sort touches only reduced rows)."""
-    return graph.map_batches(edge_rows, batch_format="pyarrow").sort("subj_id")
-
-
 def entities_dataset(linked: rd.Dataset) -> rd.Dataset:
     """Canonical entities (ENTITIES) of linked triples."""
-    return _entities(graph_dataset(linked))
+    return graph_dataset(linked).map_batches(entity_rows, batch_format="pyarrow")
 
 
 def edges_dataset(linked: rd.Dataset) -> rd.Dataset:
     """Weighted edges with capped provenance (EDGES), sorted by subj_id."""
-    return _edges(graph_dataset(linked))
+    return graph_dataset(linked).map_batches(edge_rows, batch_format="pyarrow")
 
 
 WIDE_ROWS_PER_BLOCK = 1 << 17
@@ -242,19 +235,23 @@ def read_triples(triple_files: list[str]) -> rd.Dataset:
     return rd.read_parquet(triple_files, override_num_blocks=blocks)
 
 
+GRAPH_OUTPUTS = {"entities": ENTITIES, "edges": EDGES}  # in GRAPH's tag order
+
+
 def write_graph(linked: rd.Dataset, out_dir: str) -> dict[str, int]:
     """Entities and edges of ``linked`` under ``out_dir/{entities,edges}``
-    from ONE shuffle: the small reduced table is materialized once and
-    written as two projections, each via a tmp dir + atomic rename (a
-    rerun replaces, never accumulates). Returns the footer row counts."""
-    graph = graph_dataset(linked).materialize()
-    counts = {}
-    for name, ds in (("entities", _entities(graph)), ("edges", _edges(graph))):
-        final = os.path.join(out_dir, name)
-        tmp = final + ".tmp"
+    in ONE Ray Data execution: :class:`TaggedSink` routes the GRAPH rows
+    to a tmp dir per output, each then renamed into place (a rerun
+    replaces, never accumulates); edge files in name order are sorted
+    by subj_id. Returns the footer row counts."""
+    tmps = [os.path.join(out_dir, name + ".tmp") for name in GRAPH_OUTPUTS]
+    for tmp in tmps:
         shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
+    graph_dataset(linked).write_datasink(TaggedSink(tmps, list(GRAPH_OUTPUTS.values())))
+    counts = {}
+    for name, tmp in zip(GRAPH_OUTPUTS, tmps):
         counts[name] = _parquet_rows(tmp)
+        final = os.path.join(out_dir, name)
         shutil.rmtree(final, ignore_errors=True)
         os.replace(tmp, final)
     return counts
@@ -295,15 +292,17 @@ def partition_rows_batch(batch: pa.Table, write_mentions: bool) -> pa.Table:
     )
 
 
-class PartitionSink(rd.Datasink):
-    """Routes tagged PARTITION_ROWS to ``dirs`` (one per tag, in
-    PARTITION_OUTPUTS order): one parquet file per output and write
+class TaggedSink(rd.Datasink):
+    """Routes union-tagged rows by ``kind``: the rows tagged i go to
+    ``dirs[i]`` as ``schemas[i]``, one parquet file per output and write
     task, named by the sink's id and the task index, so a retried task
-    overwrites its own file. An output with no rows gets no file; its
-    dir is made up front, so an empty partition still commits."""
+    overwrites its own file and files sort in task order. An output
+    with no rows gets no file; its dir is made up front, so an empty
+    output still commits."""
 
-    def __init__(self, dirs: list[str]):
+    def __init__(self, dirs: list[str], schemas: list[pa.Schema]):
         self.dirs = dirs
+        self.schemas = schemas
         self.uuid = uuid.uuid4().hex
 
     def on_write_start(self) -> None:
@@ -317,7 +316,7 @@ class PartitionSink(rd.Datasink):
         if not tables:
             return
         rows = pa.concat_tables(tables)
-        for kind, (d, schema) in enumerate(zip(self.dirs, PARTITION_OUTPUTS.values())):
+        for kind, (d, schema) in enumerate(zip(self.dirs, self.schemas)):
             out = untagged(rows, kind, schema)
             if out.num_rows:
                 pq.write_table(out, os.path.join(d, f"{self.uuid}_{ctx.task_idx:06d}.parquet"))
@@ -328,7 +327,6 @@ def run_partitioned(
     ckpt_dir: str,
     out_dir: str | None = None,
     num_partitions: int = 4,
-    detect_concurrency: int | tuple[int, int] | None = None,
     detect_batch_size: int = 256,
     write_mentions: bool = True,
     gazetteers=None,
@@ -338,7 +336,7 @@ def run_partitioned(
     linked triples (+ flat mentions) parquet under ``ckpt_dir`` with a
     lineage manifest per partition. A partition is ONE Ray Data
     execution: :func:`partition_rows_batch` fuses onto the spine and
-    emits both outputs as tagged rows, and :class:`PartitionSink`
+    emits both outputs as tagged rows, and :class:`TaggedSink`
     writes each output's rows into its tmp stage dir; both dirs are
     then committed and the manifest written last. The nested
     sentence-mentions are never written. Already-complete partitions are
@@ -348,7 +346,7 @@ def run_partitioned(
     Phase 2 (wide, over all partition outputs): entities + edges, edges
     globally sorted by subj_id, written under ``out_dir`` (defaults to
     ``ckpt_dir/out``) by :func:`write_graph` over
-    :func:`read_triples`.
+    :func:`read_triples` — one more execution, one sort, one write.
 
     Returns {'skipped': [...], 'ran': [...], 'entities': n, 'edges': n,
     'out_dir': ...}.
@@ -423,21 +421,21 @@ def run_partitioned(
 
             sm = sentences_from_extracted(
                 read_extracted_jsonl(files),
-                detect_concurrency,
-                detect_batch_size,
+                detect_batch_size=detect_batch_size,
                 gazetteers=gazetteers,
             )
         else:
             sm = sentences_dataset(
-                read_pages(files), detect_concurrency, detect_batch_size, gazetteers=gazetteers
+                read_pages(files), detect_batch_size=detect_batch_size, gazetteers=gazetteers
             )
         stages = [s for s in PARTITION_OUTPUTS if write_mentions or s != "mentions"]
+        tmps = [store.tmp_stage_dir(s, pid) for s in stages]
         sm.map_batches(
             partition_rows_batch,
             batch_format="pyarrow",
             fn_kwargs={"write_mentions": write_mentions},
-        ).write_datasink(PartitionSink([store.tmp_stage_dir(s, pid) for s in stages]))
-        rows = {s: _parquet_rows(store.tmp_stage_dir(s, pid)) for s in stages}
+        ).write_datasink(TaggedSink(tmps, [PARTITION_OUTPUTS[s] for s in stages]))
+        rows = {s: _parquet_rows(d) for s, d in zip(stages, tmps)}
         for stage in stages:
             store.commit_stage_dir(stage, pid)
         store.write_manifest(

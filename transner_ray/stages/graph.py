@@ -15,8 +15,8 @@
   reduces a whole block in one call of Arrow kernels and emits entities
   and edges together; ``entity_rows``/``edge_rows`` project them into
   the ENTITIES and EDGES tables. Nothing loops over rows in Python.
-  ``tagged``/``untagged`` also carry a partition's narrow outputs
-  through one write (``pipelines/kg.py::partition_rows_batch``).
+  ``tagged``/``untagged`` also carry each phase's outputs through one
+  write (``pipelines/kg.py::TaggedSink``).
 """
 
 from __future__ import annotations

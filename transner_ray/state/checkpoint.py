@@ -17,7 +17,7 @@ Layout under a checkpoint root:
       manifest/part-0007.json          (written LAST → completion marker)
 
 Both stage dirs of a partition are filled by one Ray Data execution
-(``pipelines/kg.py::PartitionSink``); no intermediate stage is stored.
+(``pipelines/kg.py::TaggedSink``); no intermediate stage is stored.
 
 Atomicity: parquet is written into ``<dir>.tmp`` and ``os.replace``d
 into place; the manifest is written only after every stage directory of
