@@ -123,10 +123,19 @@ def test_malformed_html_rows_dropped_not_fatal():
             "text": "",
             "lang": "it",
         },
+        {
+            "url": "https://x/null",
+            "warc_ts": EPOCH_BASE_US,
+            "html": None,
+            "text": "",
+            "lang": "it",
+        },
     ]
-    out = extract_text_batch(pa.Table.from_pylist(rows, schema=PAGES))
+    pages = pa.Table.from_pylist(rows, schema=PAGES)
+    out = extract_text_batch(pages)
     assert out.column("url").to_pylist() == ["https://x/good"]
     assert out.column("text").to_pylist() == ["Buon testo."]
+    assert extract_text_batch(pages.slice(1)).num_rows == 0  # no row survives
 
 
 def test_actor_pool_path_matches_tasks(pages_small):

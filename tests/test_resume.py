@@ -286,7 +286,7 @@ def test_narrow_phase_one_execution_per_partition(workdir, monkeypatch, write_me
 def test_wide_phase_one_execution(workdir, monkeypatch):
     """The wide phase is ONE Ray Data execution: one sort, one reduce
     and one write into both outputs, with nothing materialized to be
-    re-read. A no-change rerun therefore runs exactly one execution."""
+    re-read. A no-change rerun skips it and runs no execution at all."""
     calls, wide = [], []
     materialize, write_graph = rd.Dataset.materialize, kg.write_graph
 
@@ -305,9 +305,155 @@ def test_wide_phase_one_execution(workdir, monkeypatch):
     first = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
     assert first["ran"] == [0, 1, 2] and len(calls) == 4
     rerun = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
-    assert rerun["skipped"] == [0, 1, 2] and len(calls) == 5
-    assert wide == [1, 1]
+    assert rerun["skipped"] == [0, 1, 2] and len(calls) == 4
+    assert wide == [1]
     assert (rerun["entities"], rerun["edges"]) == (first["entities"], first["edges"])
+
+
+# ---- the wide manifest: no Ray work when nothing changed --------------------
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Ray Data executions, counted at ``Dataset.materialize`` (which every
+    write goes through)."""
+    calls = []
+    materialize = rd.Dataset.materialize
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(rd.Dataset, "materialize", counted)
+    return calls
+
+
+def _assert_graph_is_oracle(out_dir, oracle):
+    """The entity and edge files under ``out_dir`` hold the oracle's rows,
+    none twice."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from transner_ray.schemas import EDGES, ENTITIES
+
+    for name, schema in (("entities", ENTITIES), ("edges", EDGES)):
+        files = glob.glob(os.path.join(out_dir, name, "*.parquet"))
+        got = pa.concat_tables([pq.read_table(f) for f in files])
+        assert _rows(got, schema.names) == _rows(oracle[name], schema.names), name
+
+
+def test_wide_manifest_skips_only_unchanged_wide_phase(workdir, oracle_small, executions):
+    """The wide phase is skipped, with no execution, only when its triple
+    files and its output files are the ones it last recorded; a lost
+    output file, another out_dir and a re-run partition each recompute
+    it, and every output equals the oracle."""
+    ckpt, paths = workdir["ckpt"], workdir["paths"]
+
+    def run(**kw):
+        before = len(executions)
+        res = kg.run_partitioned(paths, ckpt, num_partitions=3, **kw)
+        _assert_graph_is_oracle(res["out_dir"], oracle_small)
+        return res, len(executions) - before
+
+    first, n = run()
+    assert (first["wide"], n) == ("no manifest", 4)
+    record = os.path.join(ckpt, "manifest", "wide.json")
+    assert os.path.getsize(record) < 1024
+    assert json.load(open(record))["counts"] == {
+        "entities": first["entities"],
+        "edges": first["edges"],
+    }
+
+    res, n = run()
+    assert (res["wide"], n, res["ran"]) == ("skipped", 0, [])
+    assert (res["entities"], res["edges"]) == (first["entities"], first["edges"])
+
+    edge_file = sorted(os.listdir(os.path.join(first["out_dir"], "edges")))[0]
+    os.remove(os.path.join(first["out_dir"], "edges", edge_file))
+    res, n = run()
+    assert (res["wide"], n) == ("outputs changed", 1)
+
+    other = os.path.join(os.path.dirname(ckpt), "other_out")
+    res, n = run(out_dir=other)
+    assert (res["wide"], n, res["out_dir"]) == ("outputs changed", 1, other)
+
+    os.remove(os.path.join(ckpt, "manifest", "part-0001.json"))
+    res, n = run(out_dir=other)
+    assert (res["wide"], n, res["ran"]) == ("triples changed", 2, [1])
+
+    res, n = run(out_dir=other)
+    assert (res["wide"], n) == ("skipped", 0)
+
+
+def test_kill_after_wide_renames_before_record(workdir, oracle_small, executions, monkeypatch):
+    """A kill after the wide phase's renames but before ``wide.json`` is
+    rewritten leaves no record (the old one is deleted before the
+    write): the rerun recomputes the wide phase, and its outputs hold
+    the oracle's rows, none twice."""
+    from transner_ray.state.checkpoint import CheckpointStore
+
+    first = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    edges_dir = os.path.join(first["out_dir"], "edges")
+    os.remove(os.path.join(edges_dir, sorted(os.listdir(edges_dir))[0]))
+
+    class Killed(Exception):
+        pass
+
+    def killed(self, *args):
+        raise Killed
+
+    write = CheckpointStore.write_wide_manifest
+    monkeypatch.setattr(CheckpointStore, "write_wide_manifest", killed)
+    with pytest.raises(Killed):
+        kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    monkeypatch.setattr(CheckpointStore, "write_wide_manifest", write)
+    assert not os.path.exists(os.path.join(workdir["ckpt"], "manifest", "wide.json"))
+    assert os.listdir(edges_dir)
+
+    before = len(executions)
+    res = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    assert (res["wide"], len(executions) - before, res["ran"]) == ("no manifest", 1, [])
+    _assert_graph_is_oracle(res["out_dir"], oracle_small)
+
+
+def test_dirty_pages_dropped_through_the_job(tmp_path):
+    """A shard mixing clean pages with a null html, empty bytes, invalid
+    UTF-8 and a truncated container: the job drops the dirty rows, and
+    its triples, mentions, entities and edges equal the oracle over the
+    clean rows, with manifest row counts to match."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from transner_ray import synth
+    from transner_ray.oracle import run_oracle
+    from transner_ray.schemas import MENTIONS, PAGES, TRIPLES
+
+    clean = synth.generate_pages_table(seed=42, n_docs=12).to_pylist()
+    html = clean[0]["html"]
+    body = html.index(b"<p>") + 3
+    dirty = [
+        dict(clean[1], url="https://dirty.example/null", html=None),
+        dict(clean[2], url="https://dirty.example/empty", html=b""),
+        dict(clean[3], url="https://dirty.example/utf8", html=html[:body] + b"\xff\xfe" + html[body:]),
+        dict(clean[4], url="https://dirty.example/truncated", html=html[: len(html) // 2]),
+    ]
+    rows = clean[:3] + dirty[:2] + clean[3:8] + dirty[2:] + clean[8:]
+    shard = str(tmp_path / "pages-0000.parquet")
+    pq.write_table(pa.Table.from_pylist(rows, schema=PAGES), shard)
+
+    ckpt = str(tmp_path / "ckpt")
+    res = kg.run_partitioned([shard], ckpt, num_partitions=1)
+    assert res["ran"] == [0]
+    oracle = run_oracle(clean)
+    mentions = _committed(ckpt, "mentions")
+    triples = _committed(ckpt, "triples")
+    assert _rows(mentions, MENTIONS.names) == _rows(oracle["mentions"], MENTIONS.names)
+    assert _rows(triples, TRIPLES.names) == _rows(oracle["triples"], TRIPLES.names)
+    _assert_graph_is_oracle(res["out_dir"], oracle)
+    manifest = json.load(open(os.path.join(ckpt, "manifest", "part-0000.json")))
+    assert manifest["rows"] == {"mentions": len(oracle["mentions"]), "triples": len(oracle["triples"])}
 
 
 def test_partition_outputs_equal_kernels_and_oracle(workdir, oracle_small):
@@ -472,6 +618,8 @@ def test_run_entry_point_in_process(workdir, tmp_path, capsys):
     code, out = run(args)
     rerun = json.loads(out[-1])
     assert code == 0 and rerun["ran"] == [] and rerun["skipped"] == [0, 1]
+    assert rerun["wide"] == "skipped"
+    assert (rerun["entities"], rerun["edges"]) == (got["entities"], got["edges"])
 
     missing = ["--input", str(tmp_path / "none-*.parquet"), "--ckpt-dir", workdir["ckpt"]]
     assert run(missing)[0] == 2

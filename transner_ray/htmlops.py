@@ -31,10 +31,12 @@ def extract_text(html: bytes) -> str:
     return b"\n".join(body.split(_SEP)).decode("utf-8")
 
 
-def extract_text_safe(html: bytes) -> str | None:
-    """Extraction for dirty corpora: None for payloads that are not
-    valid containers or not valid utf-8 (a 100 TB crawl always has
-    them; one bad row must never fail a block)."""
+def extract_text_safe(html: bytes | None) -> str | None:
+    """Extraction for dirty corpora: None for a null payload and for
+    payloads that are not valid containers or not valid utf-8 (a 100 TB
+    crawl always has them; one bad row must never fail a block)."""
+    if html is None:
+        return None
     try:
         return extract_text(html)
     except (ValueError, UnicodeDecodeError):

@@ -25,8 +25,10 @@ Two run modes:
   Data execution: the spine, one map that derives every output as
   union-tagged rows, and a sink that routes them to their stage dirs
   (``TaggedSink``). The wide phase (entities/edges) then runs over
-  all partition outputs, also as one execution through the same sink.
-  A killed run re-runs only partitions without manifests.
+  all partition outputs, also as one execution through the same sink,
+  and is recorded in a wide manifest. A killed run re-runs only
+  partitions without manifests; a rerun whose triples and outputs are
+  unchanged runs no Ray Data execution at all.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from ..stages.triples import triples_batch
 from ..state.checkpoint import (
     CheckpointStore,
     PartitionManifest,
+    digest_files,
     fingerprint_files,
     plan_partitions,
     timed,
@@ -238,6 +241,13 @@ def read_triples(triple_files: list[str]) -> rd.Dataset:
 GRAPH_OUTPUTS = {"entities": ENTITIES, "edges": EDGES}  # in GRAPH's tag order
 
 
+def _graph_files(out_dir: str) -> list[str]:
+    """The entity and edge parquet files under ``out_dir``, by absolute
+    path (the wide manifest's output record)."""
+    out_dir = os.path.abspath(out_dir)
+    return [f for name in GRAPH_OUTPUTS for f in glob.glob(os.path.join(out_dir, name, "*.parquet"))]
+
+
 def write_graph(linked: rd.Dataset, out_dir: str) -> dict[str, int]:
     """Entities and edges of ``linked`` under ``out_dir/{entities,edges}``
     in ONE Ray Data execution: :class:`TaggedSink` routes the GRAPH rows
@@ -348,14 +358,30 @@ def run_partitioned(
     ``ckpt_dir/out``) by :func:`write_graph` over
     :func:`read_triples` — one more execution, one sort, one write.
 
+    Phase 2 is skipped when ``ckpt_dir/manifest/wide.json`` records
+    exactly its current inputs and outputs: a digest of the (path, size,
+    mtime_ns) of the triple files it reads and one of the entity/edge
+    files under ``out_dir`` (absolute paths, so another ``out_dir``
+    counts as changed). The skip returns the recorded counts and runs
+    no Ray Data execution. A partition that ran, was invalidated or
+    was re-planned changes the triple files (sink files carry a fresh
+    id), so it always recomputes. Otherwise the record is deleted
+    before the write and rewritten after the renames: a kill in between
+    leaves no record. Like the partition manifests, the record covers
+    inputs and output location, not the code version: after a code
+    change that alters the output, delete ``ckpt_dir``.
+
     Returns {'skipped': [...], 'ran': [...], 'entities': n, 'edges': n,
-    'out_dir': ...}.
+    'out_dir': ..., 'wide': reason}, where reason is ``'skipped'``,
+    ``'no manifest'``, ``'triples changed'``, ``'outputs changed'``,
+    or ``'no triples'`` when no partition wrote a triple (phase 2 has
+    nothing to read and writes nothing).
 
     Append-only ingest: with one partition per file
     (``num_partitions=len(input_files)``) and shard names that sort
     after the existing ones (date/sequence-numbered crawl shards do),
     appending files leaves completed partition identities untouched —
-    a rerun processes ONLY the new files and re-reduces phase 2
+    a rerun processes ONLY the new files and recomputes phase 2
     (pinned by ``test_append_only_ingest_runs_only_new_partitions``).
 
     ``input_format='jsonl'`` ingests WET-shaped line-delimited JSON
@@ -450,15 +476,28 @@ def run_partitioned(
         ran.append(pid)
 
     # ---- phase 2: wide aggregates over all completed partitions --------
-    # Re-run on every invocation (cheap relative to phase 1).
+    # Skipped when wide.json records these exact triple and output files.
     out_dir = out_dir or os.path.join(ckpt_dir, "out")
+    result = {"skipped": skipped, "ran": ran, "out_dir": out_dir}
     triple_files = store.completed_stage_files("triples")
     if not triple_files:
-        # no completed partitions (empty input plan): a clean no-op
-        # beats read_parquet([])'s unhelpful error
-        return {"skipped": skipped, "ran": ran, "entities": 0, "edges": 0, "out_dir": out_dir}
+        # no triple file (an empty input plan, or no partition found a
+        # triple): a clean no-op beats read_parquet([])'s unhelpful error
+        return {**result, "entities": 0, "edges": 0, "wide": "no triples"}
+    triples = digest_files(triple_files)
+    record = store.load_wide_manifest()
+    if record is None:
+        reason = "no manifest"
+    elif record["triples"] != triples:
+        reason = "triples changed"
+    elif record["outputs"] != digest_files(_graph_files(out_dir)):
+        reason = "outputs changed"
+    else:
+        return {**result, **record["counts"], "wide": "skipped"}
+    store.clear_wide_manifest()
     counts = write_graph(read_triples(triple_files), out_dir)
-    return {"skipped": skipped, "ran": ran, **counts, "out_dir": out_dir}
+    store.write_wide_manifest(triples, digest_files(_graph_files(out_dir)), counts)
+    return {**result, **counts, "wide": reason}
 
 
 def _parquet_rows(directory: str) -> int:

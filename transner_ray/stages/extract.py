@@ -24,7 +24,7 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
     texts = [extract_text_safe(h) for h in batch.column("html").to_pylist()]
     keep = [i for i, t in enumerate(texts) if t is not None]
     if len(keep) != len(texts):
-        batch = batch.take(keep)
+        batch = batch.take(pa.array(keep, type=pa.int64()))  # [] alone is null-typed
         texts = [texts[i] for i in keep]
     return pa.table(
         {

@@ -15,9 +15,19 @@ Layout under a checkpoint root:
       mentions/part=0007/*.parquet      dir then atomically renamed;
                                         mentions only if requested)
       manifest/part-0007.json          (written LAST → completion marker)
+      manifest/wide.json               (the wide phase's record, written
+                                        after its outputs are in place)
 
 Both stage dirs of a partition are filled by one Ray Data execution
 (``pipelines/kg.py::TaggedSink``); no intermediate stage is stored.
+
+``wide.json`` holds a sha256 of the fingerprints of the triple files
+the wide phase read, one of the entity/edge files it wrote, and their
+row counts; a resume whose digests both match skips the wide phase.
+Digests, not file lists, so the record stays a few hundred bytes at
+any file count. It is deleted before the wide phase writes and
+rewritten after, so a kill in between leaves no record and the resume
+recomputes.
 
 Atomicity: parquet is written into ``<dir>.tmp`` and ``os.replace``d
 into place; the manifest is written only after every stage directory of
@@ -28,6 +38,7 @@ manifest; stale tmp/partial dirs are cleaned on resume).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -46,6 +57,11 @@ def fingerprint_files(files: list[str]) -> list[list]:
         st = os.stat(f)
         out.append([f, st.st_size, st.st_mtime_ns])
     return out
+
+
+def digest_files(files: list[str]) -> str:
+    """sha256 over :func:`fingerprint_files` — fixed size at any file count."""
+    return hashlib.sha256(json.dumps(fingerprint_files(files)).encode()).hexdigest()
 
 
 @dataclass
@@ -96,11 +112,27 @@ class CheckpointStore:
             return json.load(f)
 
     def write_manifest(self, manifest: PartitionManifest) -> None:
-        path = self.manifest_path(manifest.partition)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(manifest.to_json())
-        os.replace(tmp, path)
+        _write_atomic(self.manifest_path(manifest.partition), manifest.to_json())
+
+    def wide_manifest_path(self) -> str:
+        return os.path.join(self.root, "manifest", "wide.json")
+
+    def load_wide_manifest(self) -> dict | None:
+        try:
+            with open(self.wide_manifest_path()) as f:
+                return json.load(f)
+        except FileNotFoundError:
+            return None
+
+    def write_wide_manifest(self, triples: str, outputs: str, counts: dict[str, int]) -> None:
+        record = {"triples": triples, "outputs": outputs, "counts": counts}
+        _write_atomic(self.wide_manifest_path(), json.dumps(record, sort_keys=True))
+
+    def clear_wide_manifest(self) -> None:
+        try:
+            os.remove(self.wide_manifest_path())
+        except FileNotFoundError:
+            pass
 
     # ---- stage output dirs --------------------------------------------
     def stage_dir(self, stage: str, partition: int) -> str:
@@ -131,6 +163,13 @@ class CheckpointStore:
                 if name.endswith(".parquet"):
                     files.append(os.path.join(d, name))
         return files
+
+
+def _write_atomic(path: str, text: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
 
 
 def plan_partitions(input_files: list[str], num_partitions: int) -> list[list[str]]:
