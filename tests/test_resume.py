@@ -238,7 +238,7 @@ def test_partitioned_edges_sorted_on_disk(tmp_path, monkeypatch):
     assert subj == sorted(subj)
 
 
-# ---- one Ray Data execution per partition ---------------------------------
+# ---- one narrow Ray Data execution per run -----------------------------------
 
 
 def _rows(t, names):
@@ -258,9 +258,10 @@ def _committed(ckpt, stage):
 
 
 @pytest.mark.parametrize("write_mentions", [True, False])
-def test_narrow_phase_one_execution_per_partition(workdir, monkeypatch, write_mentions):
-    """Each partition's outputs come from ONE Ray Data execution: no
-    sentence-mentions checkpoint, no re-read, no second write."""
+def test_narrow_phase_one_execution(workdir, monkeypatch, write_mentions):
+    """Every partition's outputs come from ONE Ray Data execution shared
+    by the run: no sentence-mentions checkpoint, no re-read, no second
+    write, no execution per partition."""
     calls, before_wide = [], []
     materialize, write_graph = rd.Dataset.materialize, kg.write_graph
 
@@ -278,7 +279,7 @@ def test_narrow_phase_one_execution_per_partition(workdir, monkeypatch, write_me
         workdir["paths"], workdir["ckpt"], num_partitions=3, write_mentions=write_mentions
     )
     assert res["ran"] == [0, 1, 2]
-    assert before_wide == [3]
+    assert before_wide == [1]
     stages = {"triples", "mentions"} if write_mentions else {"triples"}
     assert {d for d in os.listdir(workdir["ckpt"]) if d not in ("manifest", "out")} == stages
 
@@ -303,9 +304,9 @@ def test_wide_phase_one_execution(workdir, monkeypatch):
     monkeypatch.setattr(rd.Dataset, "materialize", counted)
     monkeypatch.setattr(kg, "write_graph", counted_wide)
     first = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
-    assert first["ran"] == [0, 1, 2] and len(calls) == 4
+    assert first["ran"] == [0, 1, 2] and len(calls) == 2
     rerun = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
-    assert rerun["skipped"] == [0, 1, 2] and len(calls) == 4
+    assert rerun["skipped"] == [0, 1, 2] and len(calls) == 2
     assert wide == [1]
     assert (rerun["entities"], rerun["edges"]) == (first["entities"], first["edges"])
 
@@ -358,7 +359,7 @@ def test_wide_manifest_skips_only_unchanged_wide_phase(workdir, oracle_small, ex
         return res, len(executions) - before
 
     first, n = run()
-    assert (first["wide"], n) == ("no manifest", 4)
+    assert (first["wide"], n) == ("no manifest", 2)
     record = os.path.join(ckpt, "manifest", "wide.json")
     assert os.path.getsize(record) < 1024
     assert json.load(open(record))["counts"] == {
@@ -498,7 +499,7 @@ def test_sink_retried_write_overwrites_its_file(tmp_path, pages_small):
     sm = make_detect_fn()(split_sentences_batch(extract_text_batch(pages)))
     rows = kg.partition_rows_batch(sm, write_mentions=True)
     dirs = [str(tmp_path / stage) for stage in kg.PARTITION_OUTPUTS]
-    sink = kg.TaggedSink(dirs, list(kg.PARTITION_OUTPUTS.values()))
+    sink = kg.TaggedSink({0: dirs}, list(kg.PARTITION_OUTPUTS.values()))
     sink.on_write_start()
     ctx = TaskContext(task_idx=7, op_name="Write")
     for _ in range(2):
@@ -588,6 +589,180 @@ def test_kill_between_sink_write_and_commit(workdir, oracle_small, monkeypatch):
     assert _rows(triples, TRIPLES.names) == _rows(oracle_small["triples"], TRIPLES.names)
     want = _rows(oracle_small["edges"], ["subj_id", "pred", "obj_id", "weight"])
     assert _rows(_edges(res["out_dir"]).to_dict("records"), ["subj_id", "pred", "obj_id", "weight"]) == want
+
+
+# ---- the shared narrow execution: routing, inputs and kills ----------------
+
+
+def _pages(files):
+    """The pages rows of ``files``, in order."""
+    import pyarrow.parquet as pq
+
+    return [r for f in files for r in pq.read_table(f).to_pylist()]
+
+
+def _assert_partitions_are_oracle(ckpt, parts):
+    """Partition i's committed mentions and triples are the oracle's over
+    its own files ``parts[i]``, none twice, and its manifest's row counts
+    are its footer counts."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from transner_ray.oracle import run_oracle
+    from transner_ray.schemas import MENTIONS, TRIPLES
+    from transner_ray.state.checkpoint import CheckpointStore
+
+    store = CheckpointStore(ckpt)
+    assert store.completed_partitions() == list(range(len(parts)))
+    for pid, files in enumerate(parts):
+        oracle = run_oracle(_pages(files))
+        manifest = store.load_manifest(pid)
+        assert manifest["input_files"] == files
+        for stage, schema in (("mentions", MENTIONS), ("triples", TRIPLES)):
+            d = store.stage_dir(stage, pid)
+            tables = [pq.read_table(f) for f in glob.glob(os.path.join(d, "*.parquet"))]
+            assert manifest["rows"][stage] == sum(t.num_rows for t in tables)
+            got = [r for t in tables for r in t.to_pylist()]
+            assert _rows(got, schema.names) == _rows(oracle[stage], schema.names), (stage, pid)
+
+
+def test_same_url_in_two_partitions_files(tmp_path):
+    """A page whose url sits in two partitions' files goes to both: a row
+    takes the partition of the file it was read from, never of its url.
+    Rerunning either partition alone gives the oracle's outputs again."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from transner_ray import synth
+    from transner_ray.oracle import run_oracle
+    from transner_ray.schemas import PAGES
+
+    rows = synth.generate_pages_table(seed=7, n_docs=8).to_pylist()
+    shared = rows[0]
+    assert run_oracle([shared])["triples"]
+    parts = [[str(tmp_path / "pages-0000.parquet")], [str(tmp_path / "pages-0001.parquet")]]
+    pq.write_table(pa.Table.from_pylist(rows[:4], schema=PAGES), parts[0][0])
+    pq.write_table(pa.Table.from_pylist([*rows[4:], shared], schema=PAGES), parts[1][0])
+    paths = [f for files in parts for f in files]
+    oracle = run_oracle(_pages(paths))
+    ckpt = str(tmp_path / "ckpt")
+
+    res = kg.run_partitioned(paths, ckpt, num_partitions=2)
+    assert res["ran"] == [0, 1]
+    _assert_partitions_are_oracle(ckpt, parts)
+    _assert_graph_is_oracle(res["out_dir"], oracle)
+    for pid in (0, 1):
+        os.remove(os.path.join(ckpt, "manifest", f"part-{pid:04d}.json"))
+        res = kg.run_partitioned(paths, ckpt, num_partitions=2)
+        assert (res["ran"], res["wide"]) == ([pid], "triples changed")
+        _assert_partitions_are_oracle(ckpt, parts)
+        _assert_graph_is_oracle(res["out_dir"], oracle)
+
+
+def test_seventy_partitions_share_one_narrow_execution(tmp_path, executions, monkeypatch):
+    """70 one-doc partitions, 140 stage dirs, in ONE narrow execution:
+    every row reaches its own partition's dirs, and every manifest's row
+    counts are its footers."""
+    from transner_ray import synth
+    from transner_ray.oracle import run_oracle
+
+    before_wide = []
+    write_graph = kg.write_graph
+
+    def wide(linked, out_dir):
+        before_wide.append(len(executions))
+        return write_graph(linked, out_dir)
+
+    monkeypatch.setattr(kg, "write_graph", wide)
+    paths = sorted(synth.write_pages(str(tmp_path / "pages"), seed=42, n_docs=70, num_shards=70))
+    res = kg.run_partitioned(paths, str(tmp_path / "ckpt"), num_partitions=70)
+    assert res["ran"] == list(range(70)) and before_wide == [1]
+    _assert_partitions_are_oracle(str(tmp_path / "ckpt"), [[p] for p in paths])
+    _assert_graph_is_oracle(res["out_dir"], run_oracle(_pages(paths)))
+
+
+def test_relative_input_paths(tmp_path, pages_small, oracle_small):
+    """Input files named relative to the cwd: Ray hands each row's path
+    back as given, so every row still finds its partition."""
+    from transner_ray.state.checkpoint import plan_partitions
+
+    paths = [os.path.relpath(p) for p in pages_small]
+    assert not any(os.path.isabs(p) for p in paths)
+    ckpt = str(tmp_path / "ckpt")
+    res = kg.run_partitioned(paths, ckpt, num_partitions=2)
+    assert res["ran"] == [0, 1]
+    _assert_partitions_are_oracle(ckpt, plan_partitions(paths, 2))
+    _assert_graph_is_oracle(res["out_dir"], oracle_small)
+    rerun = kg.run_partitioned(paths, ckpt, num_partitions=2)
+    assert (rerun["skipped"], rerun["wide"]) == ([0, 1], "skipped")
+
+
+def test_duplicated_input_path_rejected(workdir):
+    """A file listed twice would be read into two partitions; the job
+    refuses it before any work."""
+    paths = workdir["paths"]
+    with pytest.raises(ValueError):
+        kg.run_partitioned([*paths, paths[0]], workdir["ckpt"], num_partitions=3)
+    assert not os.path.exists(workdir["ckpt"])
+
+
+def test_kill_at_first_commit_reruns_the_run(workdir, oracle_small, monkeypatch):
+    """A kill at the first commit after the shared execution leaves no
+    partition of the run complete: the rerun runs all of them, and its
+    outputs hold the oracle's rows, none twice."""
+    from transner_ray.state.checkpoint import CheckpointStore
+
+    class Killed(Exception):
+        pass
+
+    def killed(self, stage, partition):
+        raise Killed
+
+    commit = CheckpointStore.commit_stage_dir
+    monkeypatch.setattr(CheckpointStore, "commit_stage_dir", killed)
+    with pytest.raises(Killed):
+        kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    monkeypatch.setattr(CheckpointStore, "commit_stage_dir", commit)
+    assert CheckpointStore(workdir["ckpt"]).completed_partitions() == []
+
+    res = kg.run_partitioned(workdir["paths"], workdir["ckpt"], num_partitions=3)
+    assert res["ran"] == [0, 1, 2] and res["skipped"] == []
+    _assert_partitions_are_oracle(workdir["ckpt"], [[p] for p in sorted(workdir["paths"])])
+    _assert_graph_is_oracle(res["out_dir"], oracle_small)
+
+
+def test_zero_row_file_through_the_shared_read(tmp_path):
+    """A zero-row parquet file read beside two shards: its partition
+    commits with 0-row manifests, a rerun skips all three partitions, and
+    the outputs equal the oracle."""
+    import pyarrow.parquet as pq
+
+    from transner_ray import synth
+    from transner_ray.oracle import run_oracle
+    from transner_ray.schemas import PAGES
+    from transner_ray.state.checkpoint import plan_partitions
+
+    pages_dir = tmp_path / "pages"
+    shards = synth.write_pages(str(pages_dir), seed=3, n_docs=16, num_shards=2)
+    empty = str(pages_dir / "pages-0001-empty.parquet")  # sorts between the shards
+    pq.write_table(PAGES.empty_table(), empty)
+    paths = [*shards, empty]
+    parts = plan_partitions(paths, 3)
+    assert parts[1] == [empty]
+    ckpt = str(tmp_path / "ckpt")
+
+    res = kg.run_partitioned(paths, ckpt, num_partitions=3)
+    assert res["ran"] == [0, 1, 2]
+    manifest = json.load(open(os.path.join(ckpt, "manifest", "part-0001.json")))
+    assert manifest["rows"] == {"mentions": 0, "triples": 0}
+    _assert_partitions_are_oracle(ckpt, parts)
+    oracle = run_oracle(_pages(paths))
+    _assert_graph_is_oracle(res["out_dir"], oracle)
+
+    rerun = kg.run_partitioned(paths, ckpt, num_partitions=3)
+    assert (rerun["ran"], rerun["skipped"], rerun["wide"]) == ([], [0, 1, 2], "skipped")
+    _assert_graph_is_oracle(rerun["out_dir"], oracle)
 
 
 def test_run_entry_point_in_process(workdir, tmp_path, capsys):

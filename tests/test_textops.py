@@ -271,6 +271,42 @@ def test_regex_combined_guard_matches_unguarded(s):
     assert textops.find_regex_entities(s) == unguarded
 
 
+_PHONE_ALPHABET = string.digits + ".+() ,:x\n"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=_PHONE_ALPHABET, max_size=22))
+@example("tel 1234567890 fine")
+@example("+39 0865989886, x")
+@example("da 192.168.0.1 ora")
+@example("1" * 14 + "x 12345678901.")
+@example("(39)..........,")
+def test_eu_phone_spans_equal_reference_pattern(s):
+    """The linear EU_PHONE_NUMBER pattern finds exactly the reference
+    text's spans."""
+    reference = re.compile(textops.REFERENCE_EU_PHONE_NUMBER)
+    got = [m.span() for m in textops.REGEX_PATTERNS["EU_PHONE_NUMBER"].finditer(s)]
+    assert got == [m.span() for m in reference.finditer(s)]
+
+
+def test_long_digit_run_before_a_letter_is_fast():
+    """A 30-digit run followed by a letter took hours with the reference
+    pattern's nested repeat; it must return no mention within 1 s. The
+    alarm turns a regression into a failure instead of a hang."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("find_regex_entities took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        assert textops.find_regex_entities("tel " + "1" * 30 + "x") == []
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class _ListTagger:
     """Labels the i-th word with ``labels[i % len(labels)]``."""
 

@@ -20,15 +20,19 @@ Two run modes:
   by queries, tests and single-pass benches. Each consumed output
   re-executes the shared spine.
 * ``run_partitioned(...)``: the resumable job — input files grouped
-  into partitions, each processed to per-partition triples/mentions
-  parquet with a lineage manifest (state/checkpoint.py) in ONE Ray
-  Data execution: the spine, one map that derives every output as
-  union-tagged rows, and a sink that routes them to their stage dirs
-  (``TaggedSink``). The wide phase (entities/edges) then runs over
-  all partition outputs, also as one execution through the same sink,
-  and is recorded in a wide manifest. A killed run re-runs only
-  partitions without manifests; a rerun whose triples and outputs are
-  unchanged runs no Ray Data execution at all.
+  into partitions, each written as per-partition triples/mentions
+  parquet with a lineage manifest (state/checkpoint.py). The partition
+  is the unit of skip, invalidation, manifest and output layout, not of
+  execution: every pending partition of a run shares ONE Ray Data
+  execution. One read covers all their files, each row carries the
+  partition of the file it was read from, one map derives every output
+  as union-tagged rows, and a sink (``TaggedSink``) routes each row to
+  its partition's stage dir; the partitions then commit one by one.
+  The wide phase (entities/edges) then runs over all partition outputs,
+  also as one execution through the same sink, and is recorded in a
+  wide manifest. A killed run re-runs the partitions it had not
+  committed, never one an earlier run committed; a rerun whose triples
+  and outputs are unchanged runs no Ray Data execution at all.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import shutil
 import uuid
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -46,7 +51,7 @@ import ray.data as rd
 from ray.data.block import BlockAccessor
 
 from ..gazetteers import default_gazetteers
-from ..schemas import EDGES, ENTITIES, MENTIONS
+from ..schemas import EDGES, ENTITIES, MENTIONS, PARTITION
 from ..stages.detect import MentionDetector, explode_mentions_batch
 from ..stages.extract import extract_text_batch
 from ..stages.graph import (
@@ -56,8 +61,9 @@ from ..stages.graph import (
     graph_partials_batch,
     link_triples_batch,
     reduce_graph_block,
+    run_offsets,
+    strip_tag,
     tagged,
-    untagged,
 )
 from ..stages.split import split_sentences_batch
 from ..stages.triples import triples_batch
@@ -73,8 +79,10 @@ from ..state.checkpoint import (
 PAGES_COLUMNS = ["url", "html", "lang"]  # prune at the read: no warc_ts/text
 
 
-def read_pages(paths: str | list[str]) -> rd.Dataset:
-    return rd.read_parquet(paths, columns=PAGES_COLUMNS)
+def read_pages(paths: str | list[str], include_paths: bool = False) -> rd.Dataset:
+    """PAGES_COLUMNS of ``paths``; ``include_paths=True`` adds Ray's
+    ``path`` column, the file each row was read from as given."""
+    return rd.read_parquet(paths, columns=PAGES_COLUMNS, include_paths=include_paths)
 
 
 def sentences_dataset(
@@ -257,7 +265,7 @@ def write_graph(linked: rd.Dataset, out_dir: str) -> dict[str, int]:
     tmps = [os.path.join(out_dir, name + ".tmp") for name in GRAPH_OUTPUTS]
     for tmp in tmps:
         shutil.rmtree(tmp, ignore_errors=True)
-    graph_dataset(linked).write_datasink(TaggedSink(tmps, list(GRAPH_OUTPUTS.values())))
+    graph_dataset(linked).write_datasink(TaggedSink({0: tmps}, list(GRAPH_OUTPUTS.values())))
     counts = {}
     for name, tmp in zip(GRAPH_OUTPUTS, tmps):
         counts[name] = _parquet_rows(tmp)
@@ -293,7 +301,22 @@ def partition_rows_batch(batch: pa.Table, write_mentions: bool) -> pa.Table:
     """Nested sentence-mention rows → every output of the partition as
     tagged PARTITION_ROWS: the linked triples, and the exploded mentions
     when ``write_mentions``. Fused after the spine, so one execution
-    derives all of them and nothing is re-read."""
+    derives all of them and nothing is re-read. A batch with a
+    ``partition`` column is derived one run of equal partitions at a
+    time, and every output row carries its run's partition."""
+    if PARTITION.name not in batch.column_names or not batch.num_rows:
+        return _partition_rows(batch, write_mentions)
+    bounds = run_offsets(batch, [PARTITION.name])
+    pids = batch.column(PARTITION.name)
+    tables = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = _partition_rows(batch.slice(lo, hi - lo), write_mentions)
+        pid = pa.repeat(pids[lo], rows.num_rows)
+        tables.append(rows.append_column(PARTITION, pid))
+    return pa.concat_tables(tables)
+
+
+def _partition_rows(batch: pa.Table, write_mentions: bool) -> pa.Table:
     outputs = [link_triples_batch(triples_batch(batch))]
     if write_mentions:
         outputs.append(explode_mentions_batch(batch))
@@ -302,22 +325,35 @@ def partition_rows_batch(batch: pa.Table, write_mentions: bool) -> pa.Table:
     )
 
 
-class TaggedSink(rd.Datasink):
-    """Routes union-tagged rows by ``kind``: the rows tagged i go to
-    ``dirs[i]`` as ``schemas[i]``, one parquet file per output and write
-    task, named by the sink's id and the task index, so a retried task
-    overwrites its own file and files sort in task order. An output
-    with no rows gets no file; its dir is made up front, so an empty
-    output still commits."""
+def path_partitions_batch(batch: pa.Table, partition_of: dict[str, int]) -> pa.Table:
+    """The read's ``path`` column replaced by the ``partition`` of each
+    row's file, looked up once per distinct path of the batch."""
+    paths = batch.column("path")
+    distinct = pc.unique(paths)
+    pids = pa.array([partition_of[p] for p in distinct.to_pylist()], PARTITION.type)
+    rows = batch.drop_columns(["path"])
+    return rows.append_column(PARTITION, pc.take(pids, pc.index_in(paths, value_set=distinct)))
 
-    def __init__(self, dirs: list[str], schemas: list[pa.Schema]):
+
+class TaggedSink(rd.Datasink):
+    """Routes union-tagged rows by partition and ``kind``: the rows of
+    partition p tagged i go to ``dirs[p][i]`` as ``schemas[i]``; rows
+    without a ``partition`` column are partition 0. A write task sorts
+    its rows by (partition, kind) once, stably, and writes each run as
+    one parquet file named by the sink's id and the task index, so a
+    retried task overwrites its own files and files sort in task order.
+    An output with no rows gets no file; every dir is made up front, so
+    an empty output still commits."""
+
+    def __init__(self, dirs: dict[int, list[str]], schemas: list[pa.Schema]):
         self.dirs = dirs
         self.schemas = schemas
         self.uuid = uuid.uuid4().hex
 
     def on_write_start(self) -> None:
-        for d in self.dirs:
-            os.makedirs(d, exist_ok=True)
+        for dirs in self.dirs.values():
+            for d in dirs:
+                os.makedirs(d, exist_ok=True)
 
     def write(self, blocks, ctx) -> None:
         tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
@@ -326,10 +362,16 @@ class TaggedSink(rd.Datasink):
         if not tables:
             return
         rows = pa.concat_tables(tables)
-        for kind, (d, schema) in enumerate(zip(self.dirs, self.schemas)):
-            out = untagged(rows, kind, schema)
-            if out.num_rows:
-                pq.write_table(out, os.path.join(d, f"{self.uuid}_{ctx.task_idx:06d}.parquet"))
+        partitioned = PARTITION.name in rows.column_names
+        keys = [PARTITION.name, "kind"] if partitioned else ["kind"]
+        rows = rows.take(pc.sort_indices(rows, [(k, "ascending") for k in keys]))
+        bounds = run_offsets(rows, keys)
+        name = f"{self.uuid}_{ctx.task_idx:06d}.parquet"
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pid = rows.column(PARTITION.name)[lo].as_py() if partitioned else 0
+            kind = rows.column("kind")[lo].as_py()
+            out = strip_tag(rows.slice(lo, hi - lo), self.schemas[kind])
+            pq.write_table(out, os.path.join(self.dirs[pid][kind], name))
 
 
 def run_partitioned(
@@ -342,17 +384,28 @@ def run_partitioned(
     gazetteers=None,
     input_format: str = "parquet",
 ) -> dict:
-    """Resumable KG job. Phase 1 (narrow, per partition): pages files →
-    linked triples (+ flat mentions) parquet under ``ckpt_dir`` with a
-    lineage manifest per partition. A partition is ONE Ray Data
-    execution: :func:`partition_rows_batch` fuses onto the spine and
-    emits both outputs as tagged rows, and :class:`TaggedSink`
-    writes each output's rows into its tmp stage dir; both dirs are
-    then committed and the manifest written last. The nested
-    sentence-mentions are never written. Already-complete partitions are
-    SKIPPED — but only when the manifest's recorded ``input_files``
-    equals the current plan for that partition; a changed file listing
-    or ``num_partitions`` invalidates the partition and it re-runs.
+    """Resumable KG job. Phase 1 (narrow): pages files → linked triples
+    (+ flat mentions) parquet under ``ckpt_dir`` with a lineage manifest
+    per partition. The partition is the unit of skip, invalidation,
+    manifest and output layout. Already-complete partitions are SKIPPED
+    — but only when the manifest's recorded ``input_files`` equals the
+    current plan for that partition; a changed file listing or
+    ``num_partitions`` invalidates the partition and it re-runs.
+
+    Every pending partition of a run shares ONE Ray Data execution: one
+    read of all their files, whose rows carry the partition of the file
+    they were read from (never of their url: the same url may sit in two
+    partitions' files, and each gets its copy);
+    :func:`partition_rows_batch` fuses onto the spine and emits both
+    outputs as tagged rows; :class:`TaggedSink` writes each row into its
+    partition's tmp stage dir. After the execution the partitions commit
+    in id order, each its stage dirs and then its manifest, whose
+    ``wall_sec`` is the shared execution's wall time. A kill during the
+    execution therefore redoes the run's narrow work, but never what an
+    earlier run committed. The nested sentence-mentions are never
+    written. An input path listed twice raises ``ValueError`` before
+    any work.
+
     Phase 2 (wide, over all partition outputs): entities + edges, edges
     globally sorted by subj_id, written under ``out_dir`` (defaults to
     ``ckpt_dir/out``) by :func:`write_graph` over
@@ -390,6 +443,8 @@ def run_partitioned(
     phase — a resumable job over a raw crawl dump needs no parquet
     conversion pass first.
     """
+    if len(set(input_files)) != len(input_files):
+        raise ValueError("run_partitioned: an input file is listed twice")
     store = CheckpointStore(ckpt_dir)
     parts = plan_partitions(input_files, num_partitions)
     # Manifests for partition ids beyond the current plan (a previous
@@ -401,7 +456,7 @@ def run_partitioned(
             os.remove(store.manifest_path(pid))
             for stage in PARTITION_OUTPUTS:
                 store.clean_incomplete(stage, pid)
-    ran, skipped = [], []
+    pending, skipped = [], []
     for pid, files in enumerate(parts):
         if store.is_complete(pid):
             # manifest presence alone is not enough: re-running with a
@@ -437,48 +492,15 @@ def run_partitioned(
                 skipped.append(pid)
                 continue
             os.remove(store.manifest_path(pid))  # stale → re-run below
-        t0 = timed()
-        # a stale tmp dir from a killed run would be MERGED with the
-        # re-run's files (named by a fresh sink id) and duplicate rows
-        for stage in PARTITION_OUTPUTS:
-            store.clean_incomplete(stage, pid)
-        if input_format == "jsonl":
-            from ..sources.jsonl import read_extracted_jsonl
-
-            sm = sentences_from_extracted(
-                read_extracted_jsonl(files),
-                detect_batch_size=detect_batch_size,
-                gazetteers=gazetteers,
-            )
-        else:
-            sm = sentences_dataset(
-                read_pages(files), detect_batch_size=detect_batch_size, gazetteers=gazetteers
-            )
-        stages = [s for s in PARTITION_OUTPUTS if write_mentions or s != "mentions"]
-        tmps = [store.tmp_stage_dir(s, pid) for s in stages]
-        sm.map_batches(
-            partition_rows_batch,
-            batch_format="pyarrow",
-            fn_kwargs={"write_mentions": write_mentions},
-        ).write_datasink(TaggedSink(tmps, [PARTITION_OUTPUTS[s] for s in stages]))
-        rows = {s: _parquet_rows(d) for s, d in zip(stages, tmps)}
-        for stage in stages:
-            store.commit_stage_dir(stage, pid)
-        store.write_manifest(
-            PartitionManifest(
-                partition=pid,
-                input_files=files,
-                rows=rows,
-                wall_sec=timed() - t0,
-                input_fingerprint=fingerprint_files(files),
-            )
-        )
-        ran.append(pid)
+        pending.append(pid)
+    if pending:
+        narrow = {pid: parts[pid] for pid in pending}
+        _run_narrow(store, narrow, write_mentions, detect_batch_size, gazetteers, input_format)
 
     # ---- phase 2: wide aggregates over all completed partitions --------
     # Skipped when wide.json records these exact triple and output files.
     out_dir = out_dir or os.path.join(ckpt_dir, "out")
-    result = {"skipped": skipped, "ran": ran, "out_dir": out_dir}
+    result = {"skipped": skipped, "ran": pending, "out_dir": out_dir}
     triple_files = store.completed_stage_files("triples")
     if not triple_files:
         # no triple file (an empty input plan, or no partition found a
@@ -498,6 +520,58 @@ def run_partitioned(
     counts = write_graph(read_triples(triple_files), out_dir)
     store.write_wide_manifest(triples, digest_files(_graph_files(out_dir)), counts)
     return {**result, **counts, "wide": reason}
+
+
+def _run_narrow(
+    store: CheckpointStore,
+    parts: dict[int, list[str]],
+    write_mentions: bool,
+    detect_batch_size: int,
+    gazetteers,
+    input_format: str,
+) -> None:
+    """Phase 1 of :func:`run_partitioned` for the pending ``parts``
+    (partition id → files): one execution, then one commit per partition."""
+    t0 = timed()
+    # a stale tmp dir from a killed run would be MERGED with the
+    # re-run's files (named by a fresh sink id) and duplicate rows
+    for pid in parts:
+        for stage in PARTITION_OUTPUTS:
+            store.clean_incomplete(stage, pid)
+    partition_of = {f: pid for pid, files in parts.items() for f in files}
+    if input_format == "jsonl":
+        from ..sources.jsonl import read_extracted_jsonl
+
+        read, spine = read_extracted_jsonl, sentences_from_extracted
+    else:
+        read, spine = read_pages, sentences_dataset
+    partitioned = read(list(partition_of), include_paths=True).map_batches(
+        path_partitions_batch,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_kwargs={"partition_of": partition_of},
+    )
+    stages = [s for s in PARTITION_OUTPUTS if write_mentions or s != "mentions"]
+    tmps = {pid: [store.tmp_stage_dir(s, pid) for s in stages] for pid in parts}
+    spine(partitioned, detect_batch_size=detect_batch_size, gazetteers=gazetteers).map_batches(
+        partition_rows_batch,
+        batch_format="pyarrow",
+        fn_kwargs={"write_mentions": write_mentions},
+    ).write_datasink(TaggedSink(tmps, [PARTITION_OUTPUTS[s] for s in stages]))
+    wall_sec = timed() - t0
+    for pid, files in parts.items():
+        rows = {s: _parquet_rows(d) for s, d in zip(stages, tmps[pid])}
+        for stage in stages:
+            store.commit_stage_dir(stage, pid)
+        store.write_manifest(
+            PartitionManifest(
+                partition=pid,
+                input_files=files,
+                rows=rows,
+                wall_sec=wall_sec,
+                input_fingerprint=fingerprint_files(files),
+            )
+        )
 
 
 def _parquet_rows(directory: str) -> int:

@@ -135,3 +135,20 @@ EDGES = pa.schema(
 def empty_table(schema: pa.Schema) -> pa.Table:
     """An empty Arrow table with the given schema (for empty-batch paths)."""
     return schema.empty_table()
+
+
+# ------------------------------------------------------------ partition
+# The partition of the resumable job a row belongs to: its input file's
+# (pipelines/kg.py::run_partitioned). The narrow kernels carry it when
+# their input has it; without it they return their schema unchanged.
+PARTITION = pa.field("partition", pa.int32())
+
+
+def with_partition(out: pa.Table, batch: pa.Table, rows=None) -> pa.Table:
+    """``out`` plus ``batch``'s partition column, taken at ``rows`` (the
+    ``batch`` row of each ``out`` row) when given; ``out`` itself when
+    ``batch`` has no partition column."""
+    if PARTITION.name not in batch.column_names:
+        return out
+    col = batch.column(PARTITION.name)
+    return out.append_column(PARTITION, col if rows is None else col.take(rows))

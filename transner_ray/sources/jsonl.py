@@ -39,15 +39,17 @@ def read_extracted_jsonl(
     url_col: str = "url",
     lang_col: str | None = "lang",
     default_lang: str = "",
+    include_paths: bool = False,
 ) -> rd.Dataset:
     """Read JSONL page records into the ``EXTRACTED`` schema.
 
     ``lang_col=None`` (or a missing lang field) fills ``default_lang``
     — the LID stage (``dates.FastTextLanguageID``) backfills it downstream, the
     same flow the reference uses when language is unknown
-    (ner.py:154-161).
+    (ner.py:154-161). ``include_paths=True`` adds Ray's ``path`` column:
+    the file each record was read from, as given in ``paths``.
     """
-    ds = rd.read_json(paths, file_extensions=None)
+    ds = rd.read_json(paths, file_extensions=None, include_paths=include_paths)
 
     def project(batch: pa.Table) -> pa.Table:
         cols = set(batch.column_names)
@@ -55,7 +57,7 @@ def read_extracted_jsonl(
             lang = batch.column(lang_col).cast(pa.string())
         else:
             lang = pa.array([default_lang] * len(batch), pa.string())
-        return pa.table(
+        out = pa.table(
             {
                 "url": batch.column(url_col).cast(pa.string()),
                 "text": batch.column(text_col).cast(pa.string()),
@@ -63,6 +65,7 @@ def read_extracted_jsonl(
             },
             schema=EXTRACTED,
         )
+        return out.append_column("path", batch.column("path")) if include_paths else out
 
     return ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 

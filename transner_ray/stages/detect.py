@@ -24,7 +24,7 @@ import ray
 from ..gazetteers import Gazetteers, default_gazetteers
 from ..kg import detect_mentions
 from ..ner_core import SERVICE_THRESHOLD
-from ..schemas import MENTIONS, SENTENCE_MENTIONS
+from ..schemas import MENTIONS, SENTENCE_MENTIONS, with_partition
 from ..tagger import RuleTagger
 
 
@@ -121,10 +121,11 @@ class MentionDetector:
         return mentions
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """SENTENCES rows → SENTENCE_MENTIONS rows, carrying ``partition``."""
         mention_lists = [
             self._detect(s) for s in batch.column("sentence").to_pylist()
         ]
-        return pa.table(
+        out = pa.table(
             {
                 "url": batch.column("url"),
                 "sent_idx": batch.column("sent_idx"),
@@ -137,6 +138,7 @@ class MentionDetector:
             },
             schema=SENTENCE_MENTIONS,
         )
+        return with_partition(out, batch)
 
 
 def explode_mentions_batch(batch: pa.Table) -> pa.Table:

@@ -15,7 +15,7 @@
   reduces a whole block in one call of Arrow kernels and emits entities
   and edges together; ``entity_rows``/``edge_rows`` project them into
   the ENTITIES and EDGES tables. Nothing loops over rows in Python.
-  ``tagged``/``untagged`` also carry each phase's outputs through one
+  ``tagged``/``strip_tag`` also carry each phase's outputs through one
   write (``pipelines/kg.py::TaggedSink``).
 """
 
@@ -158,16 +158,20 @@ def tagged(kind: int, t: pa.Table, schema: pa.Schema) -> pa.Table:
 
 def untagged(t: pa.Table, kind: int, schema: pa.Schema) -> pa.Table:
     """Inverse of :func:`tagged`: the ``kind`` rows of ``t`` as ``schema``."""
-    rows = t.filter(pc.equal(t.column("kind"), kind))
-    if "key" not in t.column_names:
+    return strip_tag(t.filter(pc.equal(t.column("kind"), kind)), schema)
+
+
+def strip_tag(rows: pa.Table, schema: pa.Schema) -> pa.Table:
+    """Tagged ``rows``, all of one kind, as ``schema``."""
+    if "key" not in rows.column_names:
         return rows.select(schema.names)
     return rows.select(["key", *schema.names[1:]]).rename_columns(schema.names)
 
 
-def _run_offsets(t: pa.Table, keys: list[str]) -> np.ndarray:
+def run_offsets(t: pa.Table, keys: list[str]) -> np.ndarray:
     """Start offsets of the runs of equal ``keys`` in ``t`` (sorted by
     them), closed by ``t.num_rows`` — ListArray offsets of the groups.
-    The keys are entity ids and predicates, never null."""
+    The keys are never null: entity ids, predicates or row tags."""
     n = t.num_rows
     new = np.ones(n, dtype=bool)
     if n > 1:
@@ -227,7 +231,7 @@ def edge_partials_batch(batch: pa.Table) -> pa.Table:
     t = batch.select([*EDGE_KEYS, "url"]).rename_columns([*EDGE_KEYS, "source"])
     weight = t.group_by(EDGE_KEYS).aggregate([([], "count_all")]).sort_by(_ascending(EDGE_KEYS))
     src = _edge_sources(t)
-    off = _run_offsets(src, EDGE_KEYS)  # run i = edge i of ``weight``
+    off = run_offsets(src, EDGE_KEYS)  # run i = edge i of ``weight``
     edge = np.repeat(np.arange(len(off) - 1), np.diff(off))
     rank = np.arange(src.num_rows) - off[edge]
     n = np.where(rank == 0, weight.column("count_all").to_numpy()[edge], 0)
@@ -252,7 +256,7 @@ def _top(t: pa.Table, value: str) -> pa.ChunkedArray:
     """Per entity_id of ``t`` (entity_id, value, n), the ``value`` with
     the largest (n, value) — the oracle's ``max((count, value))``."""
     s = t.sort_by([("entity_id", "ascending"), ("n", "descending"), (value, "descending")])
-    return s.column(value).take(_run_offsets(s, ["entity_id"])[:-1])
+    return s.column(value).take(run_offsets(s, ["entity_id"])[:-1])
 
 
 def reduce_entities(p: pa.Table) -> pa.Table:
@@ -260,7 +264,7 @@ def reduce_entities(p: pa.Table) -> pa.Table:
     in entity_id order: canonical surface and type by (count, value)
     max, aliases = the sorted distinct surfaces, support = the count."""
     surf = _sum_n(p, ["entity_id", "surface"])
-    off = _run_offsets(surf, ["entity_id"])
+    off = run_offsets(surf, ["entity_id"])
     total = np.concatenate([[0], np.cumsum(surf.column("n").to_numpy())])
     return pa.table(
         [
@@ -281,7 +285,7 @@ def reduce_edges(p: pa.Table) -> pa.Table:
     weight = _sum_n(p, EDGE_KEYS)
     src = _edge_sources(p)
     sources = pa.ListArray.from_arrays(
-        _run_offsets(src, EDGE_KEYS), src.column("source").combine_chunks()
+        run_offsets(src, EDGE_KEYS), src.column("source").combine_chunks()
     )
     return pa.table(
         [

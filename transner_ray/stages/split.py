@@ -9,13 +9,17 @@ block order (SURVEY.md §1.2).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
-from ..schemas import SENTENCES
+from ..schemas import SENTENCES, with_partition
 from ..splitting import split_sentences
 
 
 def split_sentences_batch(batch: pa.Table) -> pa.Table:
+    """EXTRACTED rows → SENTENCES rows; each sentence carries its page's
+    ``partition`` when the batch has one."""
+    page_end: list[int] = []  # sentences emitted up to and including each page
     urls: list[str] = []
     sent_idx: list[int] = []
     sents: list[str] = []
@@ -34,7 +38,8 @@ def split_sentences_batch(batch: pa.Table) -> pa.Table:
             starts.append(cs)
             ends.append(ce)
             langs.append(lang)
-    return pa.table(
+        page_end.append(len(urls))
+    out = pa.table(
         {
             "url": pa.array(urls, pa.string()),
             "sent_idx": pa.array(sent_idx, pa.int32()),
@@ -45,3 +50,5 @@ def split_sentences_batch(batch: pa.Table) -> pa.Table:
         },
         schema=SENTENCES,
     )
+    page = np.repeat(np.arange(len(page_end)), np.diff(page_end, prepend=0))
+    return with_partition(out, batch, page)

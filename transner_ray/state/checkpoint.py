@@ -18,8 +18,10 @@ Layout under a checkpoint root:
       manifest/wide.json               (the wide phase's record, written
                                         after its outputs are in place)
 
-Both stage dirs of a partition are filled by one Ray Data execution
-(``pipelines/kg.py::TaggedSink``); no intermediate stage is stored.
+The stage dirs of every partition a run computes are filled by one
+Ray Data execution shared by the run (``pipelines/kg.py::TaggedSink``
+routes each row to its partition's dirs); the partitions then commit
+one by one. No intermediate stage is stored.
 
 ``wide.json`` holds a sha256 of the fingerprints of the triple files
 the wide phase read, one of the entity/edge files it wrote, and their

@@ -301,10 +301,20 @@ def bio_decode(
 _START = r"(\s|^|[.,:])"  # boundary guards (ner.py:53-54)
 _END = r"(\s|$|[.,])"
 
-# Pattern text matches the reference byte-for-byte (ner.py:55-63); the
-# patterns themselves ARE the public semantics. Application order is the
-# dict insertion order, as in the reference's ``for field, regex in
-# _REGEX_PATTERNS.items()`` loop (ner.py:220).
+# The reference's EU_PHONE_NUMBER text (ner.py:55-63). Its nested
+# ``([\.0-9]+){10}`` backtracks exponentially when a long [.0-9] run is
+# followed by a character _END rejects (a letter, '/', '-'): the time
+# triples every 2 digits. ``[\.0-9]{10,}`` matches the same strings and,
+# for each start and prefix choice, also tries run lengths longest first,
+# so every ``finditer`` span is the same in linear time per start
+# (pinned by a differential test against this text).
+REFERENCE_EU_PHONE_NUMBER = _START + r"([+]*[(]?[0-9]{1,4}[)]?){0,1}([\.0-9]+){10}" + _END
+
+# Pattern text matches the reference byte-for-byte (ner.py:55-63) but for
+# EU_PHONE_NUMBER's run (above); the patterns themselves ARE the public
+# semantics. Application order is the dict insertion order, as in the
+# reference's ``for field, regex in _REGEX_PATTERNS.items()`` loop
+# (ner.py:220).
 REGEX_PATTERNS: dict[str, re.Pattern] = {
     name: re.compile(pat)
     for name, pat in {
@@ -318,7 +328,7 @@ REGEX_PATTERNS: dict[str, re.Pattern] = {
         "UK_NATIONAL_ID_NUMBER": _START
         + "[A-CEGHJ-PR-TW-Z][A-CEGHJ-NPR-TW-Z]{1}[0-9]{6}[A-DFM]?"
         + _END,
-        "EU_PHONE_NUMBER": _START + r"([+]*[(]?[0-9]{1,4}[)]?){0,1}([\.0-9]+){10}" + _END,
+        "EU_PHONE_NUMBER": _START + r"([+]*[(]?[0-9]{1,4}[)]?){0,1}[\.0-9]{10,}" + _END,
         "EMAIL_ADDRESS": _START + r"[a-zA-Z0-9_.+-]+@[a-zA-Z0-9-]+\.[a-zA-Z0-9-.]+" + _END,
         "IPV4_ADDRESS": _START + r"((25[0-5]|2[0-4][0-9]|[01]?[0-9][0-9]?)(\.|$)){4}" + _END,
         "URI": r"\[URL_[0-9]+\]",
@@ -331,8 +341,7 @@ RULE_BASED_SCORE = 0.9  # float(_RULE_BASED_SCORE), ner.py:64,233
 # Cheap NECESSARY-condition prefilters per pattern (a sentence failing
 # the guard cannot match the pattern, so guarded output is identical):
 # digit-bearing patterns need a digit; EMAIL needs '@'; URI needs
-# '[URL_'; EU_PHONE needs a consecutive run of >=10 chars from [.0-9]
-# (its '([\.0-9]+){10}' groups concatenate into one run).
+# '[URL_'; EU_PHONE needs a consecutive run of >=10 chars from [.0-9].
 _HAS_DIGIT = re.compile(r"[0-9]")
 _PHONE_RUN = re.compile(r"[.0-9]{10}")
 _GUARDS = {
