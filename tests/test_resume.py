@@ -698,6 +698,41 @@ def test_relative_input_paths(tmp_path, pages_small, oracle_small):
     assert (rerun["skipped"], rerun["wide"]) == ([0, 1], "skipped")
 
 
+def test_relative_input_paths_after_chdir(tmp_path, pages_small, oracle_small, monkeypatch):
+    """Relative input and checkpoint paths named from a cwd the driver
+    moved to after ray.init: Ray's workers keep the old cwd, so every
+    path a worker opens is resolved first. The job finishes (the alarm
+    turns a hang into a failure), equals the oracle, and its manifests
+    record the paths as given. Two strings that name one file are a
+    duplicate."""
+    import signal
+
+    from transner_ray.state.checkpoint import plan_partitions
+
+    def timeout(signum, frame):
+        raise TimeoutError("run_partitioned took over 120 s")
+
+    monkeypatch.chdir(tmp_path)
+    paths = [os.path.relpath(p) for p in pages_small]
+    ckpt = "ckpt"
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
+    try:
+        for twice in (os.path.join(".", paths[0]), pages_small[0]):
+            assert twice != paths[0]
+            with pytest.raises(ValueError):
+                kg.run_partitioned([*paths, twice], ckpt, num_partitions=3)
+        res = kg.run_partitioned(paths, ckpt, num_partitions=2)
+        rerun = kg.run_partitioned(paths, ckpt, num_partitions=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert res["ran"] == [0, 1]
+    assert (rerun["skipped"], rerun["wide"]) == ([0, 1], "skipped")
+    _assert_partitions_are_oracle(ckpt, plan_partitions(paths, 2))
+    _assert_graph_is_oracle(res["out_dir"], oracle_small)
+
+
 def test_duplicated_input_path_rejected(workdir):
     """A file listed twice would be read into two partitions; the job
     refuses it before any work."""
@@ -798,3 +833,44 @@ def test_run_entry_point_in_process(workdir, tmp_path, capsys):
 
     missing = ["--input", str(tmp_path / "none-*.parquet"), "--ckpt-dir", workdir["ckpt"]]
     assert run(missing)[0] == 2
+
+
+def test_every_written_file_is_zstd(tmp_path, pages_small, oracle_small):
+    """Every column chunk the job writes is zstd: the triples and
+    mentions under ckpt_dir and the entities and edges under out_dir,
+    after a run and a no-change rerun, with the oracle's rows. A
+    checkpoint holding a partition's triples in snappy, as an older job
+    wrote them, still skips every partition, and the wide phase reads
+    the mixed codecs back to the oracle's outputs."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from transner_ray.state.checkpoint import CheckpointStore
+
+    ckpt = str(tmp_path / "ckpt")
+    first = kg.run_partitioned(pages_small, ckpt, num_partitions=3, write_mentions=True)
+    rerun = kg.run_partitioned(pages_small, ckpt, num_partitions=3, write_mentions=True)
+    assert (rerun["ran"], rerun["wide"]) == ([], "skipped")
+    store = CheckpointStore(ckpt)
+    dirs = [store.stage_dir(stage, pid) for stage in ("triples", "mentions") for pid in range(3)]
+    dirs += [os.path.join(first["out_dir"], name) for name in ("entities", "edges")]
+    for d in dirs:
+        files = glob.glob(os.path.join(d, "*.parquet"))
+        assert files, d
+        for f in files:
+            meta = pq.read_metadata(f)
+            codecs = {
+                meta.row_group(g).column(c).compression
+                for g in range(meta.num_row_groups)
+                for c in range(meta.num_columns)
+            }
+            assert codecs == {"ZSTD"}, f
+    _assert_partitions_are_oracle(ckpt, [[p] for p in sorted(pages_small)])
+    _assert_graph_is_oracle(rerun["out_dir"], oracle_small)
+
+    for f in glob.glob(os.path.join(store.stage_dir("triples", 0), "*.parquet")):
+        pq.write_table(pq.read_table(f), f, compression="snappy")
+    mixed = kg.run_partitioned(pages_small, ckpt, num_partitions=3, write_mentions=True)
+    assert (mixed["skipped"], mixed["wide"]) == ([0, 1, 2], "triples changed")
+    _assert_graph_is_oracle(mixed["out_dir"], oracle_small)

@@ -3,7 +3,9 @@
 (README.md:10-70, api_doc:1-57, input_example.txt:28-44)."""
 
 import re
+import signal
 import string
+from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -289,22 +291,86 @@ def test_eu_phone_spans_equal_reference_pattern(s):
     assert got == [m.span() for m in reference.finditer(s)]
 
 
-def test_long_digit_run_before_a_letter_is_fast():
-    """A 30-digit run followed by a letter took hours with the reference
-    pattern's nested repeat; it must return no mention within 1 s. The
-    alarm turns a regression into a failure instead of a hang."""
-    import signal
+@contextmanager
+def _within(seconds):
+    """Raise TimeoutError if the block runs over ``seconds``: the alarm
+    turns a regression into a failure instead of a hang."""
 
     def timeout(signum, frame):
-        raise TimeoutError("find_regex_entities took over 1 s")
+        raise TimeoutError(f"took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(1)
+    signal.alarm(seconds)
     try:
-        assert textops.find_regex_entities("tel " + "1" * 30 + "x") == []
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_long_digit_run_before_a_letter_is_fast():
+    """A 30-digit run followed by a letter took hours with the reference
+    pattern's nested repeat; it must return no mention within 1 s."""
+    with _within(1):
+        assert textops.find_regex_entities("tel " + "1" * 30 + "x") == []
+
+
+_EMAIL_PIECES = st.sampled_from(
+    ["a", "b7", ".", "..", "@", " ", ",", ":", "!", "-", "_+", "x.y", "\n", "è", "@b.c"]
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text(alphabet="ab.@ ,:!-_+\n", max_size=24),
+                 st.lists(_EMAIL_PIECES, max_size=16).map("".join)))
+@example("mario.rossi@example.com, ip 192.168.1.10 ok.")
+@example("")
+@example("!.a@b.c")
+@example(".a@b.c")
+@example("a@b.c.d@e.f")
+@example("x a.b.c@d e.f@g.h.")
+@example(" " + "a." * 50 + "@b")
+def test_email_spans_equal_reference_pattern(s):
+    """The linear EMAIL_ADDRESS scan finds exactly the spans of the
+    reference text's ``finditer``."""
+    got = [m.span() for m in textops._email_finditer(s)]
+    assert got == [m.span() for m in textops.REGEX_PATTERNS["EMAIL_ADDRESS"].finditer(s)]
+
+
+def test_dotted_local_part_without_address_is_fast():
+    """A dotted run before an '@' with no domain after it rescanned the
+    run from every '.': about 18 s at this size with ``finditer``."""
+    with _within(1):
+        assert textops.find_regex_entities(" " + "a." * 100_000 + "@b") == []
+
+
+_ADVERSARIAL = [  # a long run of one pattern's class, then a char its end rejects
+    lambda n: " " + "a." * n + "@b",
+    lambda n: " " + "a" * n + "@b",
+    lambda n: " a@" + "b" * n + "x",
+    lambda n: " a@b." + "c-" * n + "!",
+    lambda n: " " + "a@" * n,
+    lambda n: " " + ".@" * n,
+    lambda n: " " + ",a" * n + "@b",
+    lambda n: " " + "1." * n + "x",
+    lambda n: " " + "1" * n + "x",
+    lambda n: " " + "+" * n + "x",
+    lambda n: " " + "(1" * n + "x",
+    lambda n: " " + "255." * n + "x",
+    lambda n: " " + "IT12 " * n + "x",
+    lambda n: " " + "ABCDEF" * n + "x",
+    lambda n: " " + "AB123456" * n + "x",
+    lambda n: "[URL_" + "1" * n + "x",
+    lambda n: "[URL_" * n + "x",
+]
+
+
+def test_regex_battery_is_linear_on_adversarial_runs():
+    """Every pattern of the battery over 100k-unit runs of its own
+    character classes, each within 1 s (a quadratic one takes seconds)."""
+    for shape in _ADVERSARIAL:
+        with _within(1):
+            textops.find_regex_entities(shape(100_000))
 
 
 class _ListTagger:

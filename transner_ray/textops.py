@@ -342,21 +342,64 @@ RULE_BASED_SCORE = 0.9  # float(_RULE_BASED_SCORE), ner.py:64,233
 # the guard cannot match the pattern, so guarded output is identical):
 # digit-bearing patterns need a digit; EMAIL needs '@'; URI needs
 # '[URL_'; EU_PHONE needs a consecutive run of >=10 chars from [.0-9].
+# Patterns that share a guard share its function, which
+# find_regex_entities calls once per sentence.
 _HAS_DIGIT = re.compile(r"[0-9]")
 _PHONE_RUN = re.compile(r"[.0-9]{10}")
+
+
+def _has_digit(s: str) -> bool:
+    return _HAS_DIGIT.search(s) is not None
+
+
 _GUARDS = {
-    "IT_FISCAL_CODE": lambda s: _HAS_DIGIT.search(s) is not None,
-    "EU_IBAN": lambda s: _HAS_DIGIT.search(s) is not None,
-    "NL_CITIZEN_SERVICE_NUMBER": lambda s: _HAS_DIGIT.search(s) is not None,
-    "UK_NATIONAL_ID_NUMBER": lambda s: _HAS_DIGIT.search(s) is not None,
+    "IT_FISCAL_CODE": _has_digit,
+    "EU_IBAN": _has_digit,
+    "NL_CITIZEN_SERVICE_NUMBER": _has_digit,
+    "UK_NATIONAL_ID_NUMBER": _has_digit,
     "EU_PHONE_NUMBER": lambda s: _PHONE_RUN.search(s) is not None,
     "EMAIL_ADDRESS": lambda s: "@" in s,
-    "IPV4_ADDRESS": lambda s: _HAS_DIGIT.search(s) is not None,
+    "IPV4_ADDRESS": _has_digit,
     "URI": lambda s: "[URL_" in s,
 }
 # The exact disjunction of every guard above, as one search: a digit,
 # '@', '[URL_', or a [.0-9]{10} run without a digit, i.e. ten dots.
 _ANY_GUARD = re.compile(r"[0-9@]|\[URL_|\.{10}")
+
+
+_START_RE = re.compile(_START)
+_EMAIL_LOCAL_RUN = re.compile(r"[a-zA-Z0-9_.+-]*")  # EMAIL's local-part class
+
+
+def _email_finditer(sentence: str) -> Iterable[re.Match]:
+    """``REGEX_PATTERNS['EMAIL_ADDRESS'].finditer(sentence)`` in linear
+    time: the same matches, tried at fewer starts.
+
+    ``finditer`` tries a match at every position, and every ``.`` is a
+    start (``_START``) as well as a local-part char, so on a dotted run
+    with no address after it each of n starts rescans the run: quadratic
+    (" " + "a."*n + "@b"). Yet every start inside one run of the
+    local-part class reaches the same end of the run, where the '@' and
+    the rest must follow, so they all succeed or fail together. When the
+    match from a start that consumed its ``_START`` char fails, the
+    starts before the end of the local-part run that follows it fail
+    too, and the scan resumes at that end. A zero-width start (``^``)
+    reads its local part from the start itself, so it skips nothing.
+    Pinned by a differential test against ``finditer``."""
+    email = REGEX_PATTERNS["EMAIL_ADDRESS"]
+    pos = 0
+    # no match starts at the end; search would clamp a pos past it and ^
+    # of an empty sentence would match again
+    while pos < len(sentence) and (start := _START_RE.search(sentence, pos)) is not None:
+        p = start.start()
+        match = email.match(sentence, p)
+        if match is not None:
+            yield match
+            pos = match.end()
+        elif start.end() > p:
+            pos = _EMAIL_LOCAL_RUN.match(sentence, p + 1).end()
+        else:
+            pos = p + 1
 
 
 def find_regex_entities(sentence: str) -> list[dict]:
@@ -365,11 +408,13 @@ def find_regex_entities(sentence: str) -> list[dict]:
     the single leading/trailing punctuation strip (ner.py:227-231)."""
     if _ANY_GUARD.search(sentence) is None:
         return []
+    passed = {guard: guard(sentence) for guard in set(_GUARDS.values())}
     found: list[dict] = []
     for field, regex in REGEX_PATTERNS.items():
-        if not _GUARDS[field](sentence):
+        if not passed[_GUARDS[field]]:
             continue
-        for match in regex.finditer(sentence):
+        email = field == "EMAIL_ADDRESS"
+        for match in _email_finditer(sentence) if email else regex.finditer(sentence):
             value = match.group(0)
             offset = match.span(0)[0]
             if value[0] in ".,: ":
